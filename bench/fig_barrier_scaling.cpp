@@ -18,9 +18,8 @@
 // point (fanin/depth) — the banyan and the multi-stage fabrics pick
 // different fan-in from their zero-load distances at 1024 nodes.
 //
-// The sharded engine is honored through the ambient CNI_SIM_SHARDS /
-// CNI_SIM_FUSION / CNI_SIM_PAIR_LOOKAHEAD knobs, so the parsim-identity CI
-// row can diff this binary's artifacts across K and fusion settings. Every
+// The shard count comes from the ambient CNI_SIM_SHARDS, so the
+// parsim-identity CI row can diff this binary's artifacts across K. Every
 // simulated number is shard-count independent.
 //
 // Usage: fig_barrier_scaling [--json] [--fast] [--nodes=N] [--rounds=N]

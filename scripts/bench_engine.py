@@ -191,19 +191,17 @@ def write_obs() -> None:
     print(f"wrote {path}")
 
 
-PARSIM_SCHEMA_VERSION = 4
+PARSIM_SCHEMA_VERSION = 5
 
-# Per-mode fields micro_parsim --json must emit. The epoch statistics are
-# null (not 0) in legacy mode — a single-engine run has no epochs, and the
-# v1 report's `"epochs": 0` next to `"wall_speedup_vs_k1": 0.8` read like a
-# regression instead of a non-measurement. Schema v3 extends the same rule to
-# wall_vs_k1: on a host with fewer cores than shard threads the ratio
-# measures scheduler thrash, so the emitter writes null and sets
-# cores_limited — a quotable number and the flag that disqualifies it can
-# never coexist. Schema v4 adds shard_profile: per-shard wall-time phase
-# attribution (idle/busy/drain/barrier_wait/fused_window) from the shard
-# execution profiler — null in legacy mode, one entry per shard otherwise —
-# so the wall_vs_k1-vs-event_parallelism gap finally has a breakdown.
+# Per-mode fields micro_parsim --json must emit. Schema v3: on a host with
+# fewer cores than shard threads wall_vs_k1 measures scheduler thrash, so the
+# emitter writes null and sets cores_limited — a quotable number and the flag
+# that disqualifies it can never coexist. Schema v4 adds shard_profile:
+# per-shard wall-time phase attribution (idle/busy/drain/barrier_wait/
+# fused_window) from the shard execution profiler, one entry per shard, so
+# the wall_vs_k1-vs-event_parallelism gap has a breakdown. Schema v5 drops
+# the legacy single-engine mode and the k4-nofuse A/B mode: every mode is a
+# shard count, and every epoch statistic is measured.
 PARSIM_EPOCH_FIELDS = ("epochs", "events_total", "critical_path_events",
                        "fused_epochs", "barriers", "event_parallelism")
 PARSIM_MODE_FIELDS = ("wall_ms", "elapsed_cycles", "wall_vs_k1",
@@ -213,11 +211,12 @@ PARSIM_PROFILE_FIELDS = ("shard", "idle_ms", "busy_ms", "drain_ms",
 
 
 def validate_parsim(report: dict) -> None:
-    """Shape contract for BENCH_parsim.json points (schema v3): every point
+    """Shape contract for BENCH_parsim.json points (schema v5): every point
     carries num_cpus, every mode wall_vs_k1 + cores_limited, the epoch stats
-    are null exactly in legacy mode, and wall_vs_k1 is null exactly when the
-    run was cores_limited. Raises ValueError on violation so a drifting
-    micro_parsim emitter can't silently corrupt the pinned file."""
+    and one shard_profile entry per shard are always measured, and
+    wall_vs_k1 is null exactly when the run was cores_limited. Raises
+    ValueError on violation so a drifting micro_parsim emitter can't
+    silently corrupt the pinned file."""
     for pname, point in report["points"].items():
         where = f"points.{pname}"
         if not isinstance(point.get("num_cpus"), int):
@@ -238,39 +237,28 @@ def validate_parsim(report: dict) -> None:
             if not mode["cores_limited"] and mode["wall_vs_k1"] is None:
                 raise ValueError(
                     f"{mwhere}: wall_vs_k1 missing on a full-width run")
-            is_legacy = mname == "legacy"
             for field in PARSIM_EPOCH_FIELDS:
-                if is_legacy and mode[field] is not None:
-                    raise ValueError(
-                        f"{mwhere}: {field} must be null in legacy mode")
-                if not is_legacy and mode[field] is None:
-                    raise ValueError(
-                        f"{mwhere}: {field} must be measured in sharded mode")
+                if mode[field] is None:
+                    raise ValueError(f"{mwhere}: {field} must be measured")
             profile = mode["shard_profile"]
-            if is_legacy:
-                if profile is not None:
-                    raise ValueError(
-                        f"{mwhere}: shard_profile must be null in legacy mode")
-            else:
-                if not isinstance(profile, list) or not profile:
-                    raise ValueError(
-                        f"{mwhere}: shard_profile must be a non-empty list")
-                # Mode names encode the shard count ("k4-nofuse" -> 4): one
-                # profile entry per shard, indexed densely from 0.
-                want = int(mname[1:].split("-")[0]) if mname[1:2].isdigit() else None
-                if want is not None and len(profile) != want:
-                    raise ValueError(
-                        f"{mwhere}: shard_profile has {len(profile)} entries, "
-                        f"expected {want}")
-                for idx, slot in enumerate(profile):
-                    for field in PARSIM_PROFILE_FIELDS:
-                        if field not in slot:
-                            raise ValueError(
-                                f"{mwhere}.shard_profile[{idx}]: missing {field}")
-                    if slot["shard"] != idx:
+            if not isinstance(profile, list) or not profile:
+                raise ValueError(
+                    f"{mwhere}: shard_profile must be a non-empty list")
+            # Mode names encode the shard count ("k4" -> 4): one profile
+            # entry per shard, indexed densely from 0.
+            if len(profile) != int(mname[1:]):
+                raise ValueError(
+                    f"{mwhere}: shard_profile has {len(profile)} entries, "
+                    f"expected {mname[1:]}")
+            for idx, slot in enumerate(profile):
+                for field in PARSIM_PROFILE_FIELDS:
+                    if field not in slot:
                         raise ValueError(
-                            f"{mwhere}.shard_profile[{idx}]: shard index "
-                            f"{slot['shard']} out of order")
+                            f"{mwhere}.shard_profile[{idx}]: missing {field}")
+                if slot["shard"] != idx:
+                    raise ValueError(
+                        f"{mwhere}.shard_profile[{idx}]: shard index "
+                        f"{slot['shard']} out of order")
 
 
 def warn_cores_limited(report: dict, what: str) -> None:

@@ -18,17 +18,40 @@ bool canonical_less(const WireTransfer& a, const WireTransfer& b) {
   return a.seq < b.seq;
 }
 
+/// Heap comparator: std::push_heap/pop_heap keep the canonical minimum at
+/// the front of a lane's local queue.
+bool canonical_after(const WireTransfer& a, const WireTransfer& b) {
+  return canonical_less(b, a);
+}
+
 }  // namespace
 
-Fabric::Fabric(sim::Engine& engine, const FabricParams& params)
-    : engine_(engine),
-      params_(params),
+Fabric::Fabric(const FabricParams& params, const sim::ShardPlan& plan,
+               std::vector<sim::Engine*> shard_engines, sim::FusionLedger* ledger)
+    : params_(params),
       geometry_(params.cell_mode),
       topology_(make_topology(params)),
-      uplinks_(params.switch_ports),
-      downlinks_(params.switch_ports),
-      hooks_(params.switch_ports),
-      lanes_(1) {}
+      uplinks_(plan.nodes),
+      downlinks_(plan.nodes),
+      hooks_(plan.nodes),
+      // With one shard there is no peer to race, so the disjoint-paths
+      // argument behind concurrent local routing holds trivially.
+      local_ok_(plan.shards == 1 || topology_->concurrent_local_routing(plan)),
+      ledger_(ledger),
+      shard_engines_(std::move(shard_engines)),
+      lanes_(plan.shards) {
+  CNI_CHECK_MSG(plan.nodes <= params.switch_ports, "more nodes than switch ports");
+  CNI_CHECK(plan.shards >= 1 && shard_engines_.size() == plan.shards);
+  // Held by protocol: the fabric is built once at cluster setup, before any
+  // worker thread exists, so the setup thread owns every role.
+  barrier_role.assert_held();
+  lane_role.assert_held();
+  shard_of_node_.resize(plan.nodes);
+  for (std::uint32_t i = 0; i < plan.nodes; ++i) shard_of_node_[i] = plan.shard_of(i);
+  send_seq_.assign(plan.nodes, 0);
+  outboxes_.resize(plan.shards);
+  topology_->set_lanes(plan.shards);
+}
 
 const BanyanSwitch& Fabric::fabric_switch() const {
   const BanyanSwitch* sw = topology_->single_stage();
@@ -71,31 +94,8 @@ sim::LookaheadMatrix Fabric::lookahead_matrix(const sim::ShardPlan& plan) const 
   return m;
 }
 
-void Fabric::enable_sharding(std::vector<sim::Engine*> engine_of_node,
-                             std::vector<std::uint32_t> shard_of_node,
-                             const sim::ShardPlan& plan, sim::FusionLedger* ledger) {
-  CNI_CHECK_MSG(!sharded_, "fabric sharding enabled twice");
-  CNI_CHECK_MSG(frames_sent() == 0, "cannot enable sharding after traffic started");
-  CNI_CHECK(engine_of_node.size() == hooks_.size() &&
-            shard_of_node.size() == hooks_.size() && plan.shards >= 1);
-  // Held by protocol: sharding is enabled once at cluster setup, before any
-  // worker thread exists, so the setup thread owns every role.
-  barrier_role.assert_held();
-  lane_role.assert_held();
-  sharded_ = true;
-  local_ok_ = topology_->concurrent_local_routing(plan);
-  shards_ = plan.shards;
-  ledger_ = ledger;
-  engine_of_node_ = std::move(engine_of_node);
-  shard_of_node_ = std::move(shard_of_node);
-  send_seq_.assign(hooks_.size(), 0);
-  outboxes_.resize(shards_);
-  lanes_.resize(shards_);
-  topology_->set_lanes(shards_);
-}
-
-sim::SimTime Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst,
-                                        Frame frame, std::uint32_t lane) {
+void Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame frame,
+                                std::uint32_t lane) {
   const NodeId dst = frame.dst;
   // Cut-through: the burst's head crosses the fabric stage by stage (or hop
   // by hop), delayed by contention with earlier bursts sharing a resource.
@@ -143,22 +143,17 @@ sim::SimTime Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burs
   // flattened Parts (FrameTask): it fits InlineFn's inline buffer and shares
   // the pooled payload by refcount instead of copying the Frame into a
   // heap-allocated closure. hooks_ is sized once in the constructor, so the
-  // element address is stable across the event's lifetime. Sharded mode uses
-  // the biased delivery sequence so same-instant ties against node-local
-  // events resolve by content, not by epoch schedule (DESIGN.md §12).
+  // element address is stable across the event's lifetime. The biased
+  // delivery sequence makes same-instant ties against node-local events
+  // resolve by content, not by epoch schedule (DESIGN.md §12).
   FrameTask task([hook = &hooks_[dst]](Frame f) { (*hook)(std::move(f)); },
                  std::move(frame));
-  if (sharded_) {
-    engine_of_node_[dst]->schedule_delivery(arrival, std::move(task));
-  } else {
-    engine_.schedule_at(arrival, std::move(task));
-  }
-  return arrival;
+  shard_engines_[shard_of_node_[dst]]->schedule_delivery(arrival, std::move(task));
 }
 
 DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
   // Held by protocol: a send executes on the sending node's owning shard
-  // (its events live on that shard's engine); legacy mode is one thread.
+  // (its events live on that shard's engine).
   lane_role.assert_held();
   const NodeId src = frame.src;
   const NodeId dst = frame.dst;
@@ -173,7 +168,7 @@ DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
 
   // Uplink: the frame's cells serialize back-to-back once the link frees up
   // (ServiceQueue::occupy starts the job when the link drains). The uplink
-  // is source-local state, so this side runs at send time in both modes.
+  // is source-local state, so this side runs at send time.
   const sim::SimTime up_done = uplinks_[src].occupy(ready, serialization);
   const sim::SimTime up_start = up_done - serialization;
   t.first_bit_out = up_start;
@@ -190,74 +185,47 @@ DeliveryTiming Fabric::send(sim::SimTime ready, Frame frame) {
     frame.fab = b.pack();
   }
 
-  if (sharded_) {
-    // The switch and downlink are cross-node resources: defer the traversal
-    // and replay it in canonical (head, src, seq) order later. Intra-shard
-    // transfers park in the shard's private local queue when the topology
-    // granted concurrent local routing (the shard routes them itself
-    // mid-epoch: their paths are disjoint from every other shard's);
-    // everything else goes to the outbox for the
-    // next barrier drain and is recorded in the fusion ledger, whose stop
-    // rule ends a fused epoch before the delivery could be missed.
-    const std::uint32_t ss = shard_of_node_[src];
-    WireTransfer w;
-    w.head = head;
-    w.burst = serialization;
-    w.seq = ++send_seq_[src];
-    w.frame = std::move(frame);
-    if (local_ok_ && shard_of_node_[dst] == ss) {
-      Lane& l = lanes_[ss];
-      if (w.head < l.fresh_min) l.fresh_min = w.head;
-      l.fresh.push_back(std::move(w));
-    } else {
-      if (ledger_ != nullptr) ledger_->note_send(up_start);
-      outboxes_[ss].push_back(std::move(w));
-    }
-    return t;
+  // The switch and downlink are cross-node resources: defer the traversal
+  // and replay it in canonical (head, src, seq) order later. Intra-shard
+  // transfers park in the shard's private local queue when local routing is
+  // granted (the shard routes them itself mid-epoch: their paths are
+  // disjoint from every other shard's); everything else goes to the outbox
+  // for the next barrier drain and is recorded in the fusion ledger, whose
+  // stop rule ends a fused epoch before the delivery could be missed.
+  const std::uint32_t ss = shard_of_node_[src];
+  WireTransfer w;
+  w.head = head;
+  w.burst = serialization;
+  w.seq = ++send_seq_[src];
+  w.frame = std::move(frame);
+  if (local_ok_ && shard_of_node_[dst] == ss) {
+    std::vector<WireTransfer>& q = lanes_[ss].local;
+    q.push_back(std::move(w));
+    std::push_heap(q.begin(), q.end(), canonical_after);
+  } else {
+    if (ledger_ != nullptr) ledger_->note_send(up_start);
+    outboxes_[ss].push_back(std::move(w));
   }
-
-  t.arrival = route_and_schedule(head, serialization, std::move(frame), 0);
   return t;
-}
-
-void Fabric::merge_lane(Lane& l) {
-  std::sort(l.fresh.begin(), l.fresh.end(), canonical_less);
-  l.scratch.clear();
-  l.scratch.reserve(l.sorted.size() - l.pos + l.fresh.size());
-  std::merge(std::make_move_iterator(l.sorted.begin() + static_cast<std::ptrdiff_t>(l.pos)),
-             std::make_move_iterator(l.sorted.end()),
-             std::make_move_iterator(l.fresh.begin()),
-             std::make_move_iterator(l.fresh.end()), std::back_inserter(l.scratch),
-             canonical_less);
-  l.sorted.swap(l.scratch);
-  l.pos = 0;
-  l.fresh.clear();
-  l.fresh_min = sim::kNever;
 }
 
 sim::SimTime Fabric::local_pending_min(std::uint32_t shard) const {
   // Held by protocol: only `shard`'s own thread asks for its local minimum.
   lane_role.assert_shared();
-  const Lane& l = lanes_[shard];
-  sim::SimTime m = l.fresh_min;
-  if (l.pos < l.sorted.size() && l.sorted[l.pos].head < m) m = l.sorted[l.pos].head;
-  return m;
+  const std::vector<WireTransfer>& q = lanes_[shard].local;
+  return q.empty() ? sim::kNever : q.front().head;
 }
 
 sim::SimTime Fabric::local_drain(std::uint32_t shard, sim::SimTime limit) {
   // Held by protocol: the fused loop invokes this hook only on the owning
   // shard's thread, for that shard's lane.
   lane_role.assert_held();
-  Lane& l = lanes_[shard];
-  if (l.fresh_min < limit) merge_lane(l);
-  while (l.pos < l.sorted.size() && l.sorted[l.pos].head < limit) {
-    WireTransfer& w = l.sorted[l.pos];
+  std::vector<WireTransfer>& q = lanes_[shard].local;
+  while (!q.empty() && q.front().head < limit) {
+    std::pop_heap(q.begin(), q.end(), canonical_after);
+    WireTransfer& w = q.back();
     route_and_schedule(w.head, w.burst, std::move(w.frame), shard);
-    ++l.pos;
-  }
-  if (l.pos == l.sorted.size()) {
-    l.sorted.clear();
-    l.pos = 0;
+    q.pop_back();
   }
   return local_pending_min(shard);
 }
@@ -274,7 +242,7 @@ sim::SimTime Fabric::drain(sim::SimTime limit) {
   // allocation and no re-sort of what previous drains already ordered.
   std::size_t add = 0;
   for (const std::vector<WireTransfer>& box : outboxes_) add += box.size();
-  for (const Lane& l : lanes_) add += l.fresh.size() + (l.sorted.size() - l.pos);
+  for (const Lane& l : lanes_) add += l.local.size();
   if (add != 0) {
     batch_.clear();
     batch_.reserve(add);
@@ -283,14 +251,8 @@ sim::SimTime Fabric::drain(sim::SimTime limit) {
       box.clear();
     }
     for (Lane& l : lanes_) {
-      for (std::size_t i = l.pos; i < l.sorted.size(); ++i) {
-        batch_.push_back(std::move(l.sorted[i]));
-      }
-      l.sorted.clear();
-      l.pos = 0;
-      for (WireTransfer& w : l.fresh) batch_.push_back(std::move(w));
-      l.fresh.clear();
-      l.fresh_min = sim::kNever;
+      for (WireTransfer& w : l.local) batch_.push_back(std::move(w));
+      l.local.clear();
     }
     std::sort(batch_.begin(), batch_.end(), canonical_less);
     merged_.clear();

@@ -1,5 +1,6 @@
 #include "cluster/params.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,30 +12,23 @@
 
 namespace cni::cluster {
 
-namespace {
-
-/// `0` and `off` disable; unset or anything else keeps the default.
-bool env_switch_on(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return true;
-  return std::string_view(env) != "0" && std::string_view(env) != "off";
-}
-
-}  // namespace
-
 std::uint32_t default_sim_shards() {
-  if (const char* env = std::getenv("CNI_SIM_SHARDS"); env != nullptr) {
-    if (std::string_view(env) == "auto") return kAutoShards;
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 0) return static_cast<std::uint32_t>(v);
+  const char* env = std::getenv("CNI_SIM_SHARDS");
+  if (env == nullptr) return 1;
+  const std::string_view v(env);
+  if (v == "auto") return kAutoShards;
+  std::uint32_t k = 0;
+  const char* last = v.data() + v.size();
+  const auto [end, ec] = std::from_chars(v.data(), last, k);
+  if (ec != std::errc() || end != last || k < 1 || k > kMaxEnvShards) {
+    std::fprintf(stderr,
+                 "error: invalid CNI_SIM_SHARDS=%s (takes a shard count between 1 and "
+                 "%u, or auto)\n",
+                 env, kMaxEnvShards);
+    std::exit(2);
   }
-  return 0;
+  return k;
 }
-
-bool default_sim_fusion() { return env_switch_on("CNI_SIM_FUSION"); }
-
-bool default_sim_pair_lookahead() { return env_switch_on("CNI_SIM_PAIR_LOOKAHEAD"); }
 
 namespace {
 CollectiveMode g_default_collective = CollectiveMode::kHost;

@@ -441,8 +441,7 @@ class EpochCrew {
 /// K = 1 degenerates to the same epoch/fusion algorithm with no threads, no
 /// atomics and no barrier cost — fused epochs become a plain sub-window loop
 /// (drain own locals, run one window) and normal epochs the classic
-/// drain/run cycle. This is what keeps single-shard runs within noise of —
-/// now measurably ahead of — the legacy sequential engine.
+/// drain/run cycle. This is what makes K = 1 a cheap default.
 void run_epochs_inline(Engine& engine, const EpochParams& params, const FusedHooks& hooks,
                        util::FunctionRef<SimTime(SimTime)> drain, EpochStats* stats,
                        ShardProfiler* prof) {

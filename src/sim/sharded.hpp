@@ -18,8 +18,9 @@
 //    shards free-run through fixed-width sub-windows synchronized by padded
 //    per-shard progress words — no barrier at all. Intra-shard traffic is
 //    routed by the owning shard (legal for aligned plans, see
-//    ShardPlan::aligned); the first barrier-requiring send deterministically
-//    ends the epoch one sub-window later.
+//    ShardPlan::aligned, and for a single shard); the first
+//    barrier-requiring send deterministically ends the epoch one sub-window
+//    later.
 //  * Cheap barriers: a centralized sense-reversing barrier (generalized to a
 //    generation counter) whose arrival words are cache-line padded per
 //    shard, so the close of an epoch costs two release/acquire edges and no
@@ -72,7 +73,8 @@ struct ShardPlan {
   /// bits) gives intra-block paths of *different* blocks disjoint element
   /// outputs at every stage — so shards may route their own intra-block
   /// transfers concurrently, race-free and without reordering any shared
-  /// resource. Unaligned plans simply treat every send as cross-shard.
+  /// resource. Unaligned multi-shard plans simply treat every send as
+  /// cross-shard.
   [[nodiscard]] bool aligned() const;
 };
 
@@ -93,8 +95,8 @@ struct EpochParams {
 /// Per-shard-pair lookahead bounds: entry (r, c) is how soon an event on
 /// shard r can affect shard c. For the single-stage banyan every cross pair
 /// costs the same (switch pipeline + two propagation legs) so the matrix is
-/// uniform; the per-pair structure is the hook for multi-stage or torus
-/// fabrics (ROADMAP item 2), whose distant pairs earn genuinely more slack.
+/// uniform; the Clos and torus fabrics export distance-dependent rows, whose
+/// distant pairs earn genuinely more slack.
 /// Diagonal entries are kUnbounded: intra-shard causality is the engine's own
 /// (time, seq) order and never constrains the epoch bound.
 struct LookaheadMatrix {
@@ -167,8 +169,8 @@ struct EpochStats {
 /// Shared ledger coordinating one *fused* epoch. Shards run fixed-width
 /// sub-windows [base + jW, base + (j+1)W), synchronizing only through padded
 /// per-shard progress words; every barrier-requiring send (cross-shard — or
-/// any send at all under an unaligned plan) is recorded here with the
-/// sub-window index of its earliest possible effect. The epoch then ends,
+/// any send at all under an unaligned multi-shard plan) is recorded here
+/// with the sub-window index of its earliest possible effect. The epoch then ends,
 /// identically for every thread schedule, at the first window boundary one
 /// past the earliest recorded send: stop_window() = min send window + 1.
 /// The recording shard publishes its progress word *after* note_send (release
@@ -251,9 +253,9 @@ struct FusedHooks {
   /// Routes the shard's own intra-block transfers with head < limit, in
   /// canonical order, scheduling their deliveries; returns the earliest
   /// remaining unrouted local head (kNever when none). Called concurrently
-  /// for different shards — sound only for aligned plans (see
-  /// ShardPlan::aligned); pass fuse = false or keep local queues empty
-  /// otherwise.
+  /// for different shards — sound only when intra-block paths of different
+  /// shards are disjoint (see ShardPlan::aligned) or there is one shard;
+  /// the fabric keeps local queues empty otherwise.
   // cni-lint: allow(functionref-escape): borrowed for exactly one run_epochs
   // call; the caller keeps the named lambdas alive for its whole duration.
   util::FunctionRef<SimTime(std::uint32_t shard, SimTime limit)> local_drain;

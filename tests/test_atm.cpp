@@ -5,6 +5,7 @@
 #include "atm/fabric.hpp"
 #include "atm/packet.hpp"
 #include "sim/engine.hpp"
+#include "sim/sharded.hpp"
 
 namespace cni::atm {
 namespace {
@@ -101,35 +102,48 @@ INSTANTIATE_TEST_SUITE_P(PortCounts, BanyanPathProperty, ::testing::Values(4, 8,
 
 FabricParams test_params() { return FabricParams{}; }
 
-TEST(Fabric, DeliversWithSerializationAndLatency) {
+/// A one-shard fabric over three nodes, built the way a K=1 cluster builds
+/// it. Sends buffer until drain(); deliveries run on `e`.
+struct K1Fabric {
   sim::Engine e;
-  Fabric fab(e, test_params());
+  Fabric fab{test_params(), sim::ShardPlan::balanced(3, 1), {&e}};
+
+  /// Routes everything buffered, then runs the deliveries.
+  void run() {
+    EXPECT_EQ(fab.drain(sim::kNever), sim::kNever);
+    e.run();
+  }
+};
+
+TEST(Fabric, DeliversWithSerializationAndLatency) {
+  K1Fabric k1;
   bool delivered = false;
-  fab.attach(0, [](Frame) {});
-  fab.attach(1, [&](Frame f) {
+  sim::SimTime arrival = 0;
+  k1.fab.attach(0, [](Frame) {});
+  k1.fab.attach(1, [&](Frame f) {
     delivered = true;
+    arrival = k1.e.now();
     EXPECT_EQ(f.size(), 24u);
   });
   Frame f = Frame::blank(0, 1, 0, 24);
-  const DeliveryTiming t = fab.send(0, std::move(f));
+  const DeliveryTiming t = k1.fab.send(0, std::move(f));
   EXPECT_EQ(t.cells, 1u);
-  // One cell: ~681.6 ns serialization + 500 ns switch + 2x150 ns propagation.
-  EXPECT_NEAR(static_cast<double>(t.arrival) / sim::kNanosecond, 681.6 + 500 + 300, 5.0);
-  e.run();
+  k1.run();
   EXPECT_TRUE(delivered);
+  // One cell: ~681.6 ns serialization + 500 ns switch + 2x150 ns propagation.
+  EXPECT_NEAR(static_cast<double>(arrival) / sim::kNanosecond, 681.6 + 500 + 300, 5.0);
 }
 
 TEST(Fabric, PerPairFifoOrder) {
-  sim::Engine e;
-  Fabric fab(e, test_params());
+  K1Fabric k1;
   std::vector<int> order;
-  fab.attach(0, [](Frame) {});
-  fab.attach(1, [&](Frame f) { order.push_back(static_cast<int>(f.vci)); });
+  k1.fab.attach(0, [](Frame) {});
+  k1.fab.attach(1, [&](Frame f) { order.push_back(static_cast<int>(f.vci)); });
   for (int i = 0; i < 5; ++i) {
     Frame f = Frame::blank(0, 1, static_cast<std::uint32_t>(i), 4096);
-    fab.send(0, std::move(f));
+    k1.fab.send(0, std::move(f));
   }
-  e.run();
+  k1.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -137,45 +151,49 @@ TEST(Fabric, BiggerFramesArriveLater) {
   sim::SimTime small_arrival = 0;
   sim::SimTime big_arrival = 0;
   for (int round = 0; round < 2; ++round) {
-    sim::Engine e;
-    Fabric fab(e, test_params());
-    fab.attach(0, [](Frame) {});
-    fab.attach(1, [](Frame) {});
+    K1Fabric k1;
+    sim::SimTime& arrival = round == 0 ? small_arrival : big_arrival;
+    k1.fab.attach(0, [](Frame) {});
+    k1.fab.attach(1, [&](Frame) { arrival = k1.e.now(); });
     Frame f = Frame::blank(0, 1, 0, round == 0 ? 64 : 4096);
-    const DeliveryTiming t = fab.send(0, std::move(f));
-    (round == 0 ? small_arrival : big_arrival) = t.arrival;
+    k1.fab.send(0, std::move(f));
+    k1.run();
   }
+  EXPECT_GT(small_arrival, 0u);
   EXPECT_LT(small_arrival, big_arrival);
 }
 
 TEST(Fabric, UplinkSerializesSuccessiveSends) {
-  sim::Engine e;
-  Fabric fab(e, test_params());
-  fab.attach(0, [](Frame) {});
-  fab.attach(1, [](Frame) {});
-  fab.attach(2, [](Frame) {});
+  K1Fabric k1;
+  sim::SimTime arrival_a = 0;
+  sim::SimTime arrival_b = 0;
+  k1.fab.attach(0, [](Frame) {});
+  k1.fab.attach(1, [&](Frame) { arrival_a = k1.e.now(); });
+  k1.fab.attach(2, [&](Frame) { arrival_b = k1.e.now(); });
   Frame a = Frame::blank(0, 1, 0, 4096);
   // different destination, same uplink
   Frame b = Frame::blank(0, 2, 0, 4096);
-  const DeliveryTiming ta = fab.send(0, std::move(a));
-  const DeliveryTiming tb = fab.send(0, std::move(b));
+  const DeliveryTiming ta = k1.fab.send(0, std::move(a));
+  const DeliveryTiming tb = k1.fab.send(0, std::move(b));
   EXPECT_GE(tb.first_bit_out, ta.first_bit_out);
-  EXPECT_GT(tb.arrival, ta.arrival);
-  EXPECT_EQ(fab.frames_sent(), 2u);
-  EXPECT_EQ(fab.cells_sent(), 2u * 86);
+  k1.run();
+  EXPECT_GT(arrival_a, 0u);
+  EXPECT_GT(arrival_b, arrival_a);
+  EXPECT_EQ(k1.fab.frames_sent(), 2u);
+  EXPECT_EQ(k1.fab.cells_sent(), 2u * 86);
 }
 
 TEST(Fabric, DeliveryIsZeroCopyAndStatsAreExact) {
   // Regression pin for the pooled delivery path: the frame handed to the
   // destination hook must be the *same* buffer the sender built (refcount
-  // handoff through the scheduled FrameTask, no payload copy), and the
-  // frames/cells counters must match a hand-computed cell count.
-  sim::Engine e;
-  Fabric fab(e, test_params());
+  // handoff through the buffered transfer and the scheduled FrameTask, no
+  // payload copy), and the frames/cells counters must match a hand-computed
+  // cell count.
+  K1Fabric k1;
   const std::byte* delivered_data = nullptr;
   std::uint64_t delivered_size = 0;
-  fab.attach(0, [](Frame) {});
-  fab.attach(1, [&](Frame f) {
+  k1.fab.attach(0, [](Frame) {});
+  k1.fab.attach(1, [&](Frame f) {
     delivered_data = f.payload.data();
     delivered_size = f.size();
     EXPECT_TRUE(f.payload.unique());  // sole owner at delivery: no stray copies
@@ -184,14 +202,14 @@ TEST(Fabric, DeliveryIsZeroCopyAndStatsAreExact) {
   Frame f = Frame::blank(0, 1, 7, 1000);
   f.mutable_bytes()[999] = std::byte{0x6E};
   const std::byte* sent_data = f.payload.data();
-  fab.send(0, std::move(f));
-  e.run();
+  k1.fab.send(0, std::move(f));
+  k1.run();
 
   EXPECT_EQ(delivered_data, sent_data);
   EXPECT_EQ(delivered_size, 1000u);
-  EXPECT_EQ(fab.frames_sent(), 1u);
+  EXPECT_EQ(k1.fab.frames_sent(), 1u);
   // ceil(1000 / 48 payload bytes per cell) = 21 cells.
-  EXPECT_EQ(fab.cells_sent(), 21u);
+  EXPECT_EQ(k1.fab.cells_sent(), 21u);
 }
 
 }  // namespace

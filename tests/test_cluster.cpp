@@ -1,6 +1,8 @@
 // Cluster assembly, host CPU accounting and run mechanics.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "apps/runner.hpp"
 #include "cluster/cluster.hpp"
 
@@ -18,6 +20,45 @@ TEST(SimParams, Table1Dump) {
   EXPECT_NE(t.find("33 MHz"), std::string::npos);
   EXPECT_NE(t.find("500 ns"), std::string::npos);
   EXPECT_NE(t.find("32 KB"), std::string::npos);
+}
+
+/// Sets CNI_SIM_SHARDS for one scope and restores the unset default.
+struct ShardsEnv {
+  explicit ShardsEnv(const char* value) {
+    EXPECT_EQ(setenv("CNI_SIM_SHARDS", value, 1), 0);
+  }
+  ShardsEnv(const ShardsEnv&) = delete;
+  ShardsEnv& operator=(const ShardsEnv&) = delete;
+  ~ShardsEnv() { EXPECT_EQ(unsetenv("CNI_SIM_SHARDS"), 0); }
+};
+
+TEST(SimParams, ShardsEnvAcceptsCountsAndAuto) {
+  EXPECT_EQ(default_sim_shards(), 1u) << "unset means one shard";
+  {
+    const ShardsEnv env("4");
+    EXPECT_EQ(default_sim_shards(), 4u);
+  }
+  {
+    const ShardsEnv env("4096");
+    EXPECT_EQ(default_sim_shards(), kMaxEnvShards);
+  }
+  {
+    const ShardsEnv env("auto");
+    EXPECT_EQ(default_sim_shards(), kAutoShards);
+  }
+}
+
+TEST(SimParams, ShardsEnvRejectsEverythingElse) {
+  // Trailing junk, overflow, negatives, zero (no longer a legacy-mode
+  // switch), out-of-range and empty values all exit(2) naming the accepted
+  // values — none may silently fall back to some other K.
+  for (const char* bad :
+       {"4abc", "99999999999", "-1", "0", "4097", "", " 4", "+4", "AUTO"}) {
+    const ShardsEnv env(bad);
+    EXPECT_EXIT((void)default_sim_shards(), ::testing::ExitedWithCode(2),
+                "CNI_SIM_SHARDS.*between 1 and 4096, or auto")
+        << "value '" << bad << "'";
+  }
 }
 
 TEST(Cluster, BuildsRequestedBoardKind) {

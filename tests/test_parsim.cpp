@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -197,7 +199,7 @@ TEST(FusionLedger, StopWindowIsInvariantUnderEverySendInterleaving) {
 TEST(LookaheadMatrix, FabricExportIsSymmetricBoundedWithUnboundedDiagonal) {
   sim::Engine eng;
   atm::FabricParams fp;
-  atm::Fabric fabric(eng, fp);
+  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(16, 1), {&eng});
   for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
     const sim::ShardPlan plan = sim::ShardPlan::balanced(16, shards);
     const sim::LookaheadMatrix m = fabric.lookahead_matrix(plan);
@@ -228,26 +230,18 @@ TEST(LookaheadMatrix, FabricExportIsSymmetricBoundedWithUnboundedDiagonal) {
 // ---------------------------------------------------------------------------
 // Canonical drain order
 
-/// Builds a 4-node fabric in sharded mode over two engines (nodes 0,1 ->
-/// shard 0; nodes 2,3 -> shard 1) and records delivery order at each node.
+/// Builds a 4-node fabric over two shard engines (nodes 0,1 -> shard 0;
+/// nodes 2,3 -> shard 1) and records delivery order at each node.
 struct ShardedFabricFixture {
-  sim::Engine legacy;  // unused in sharded mode, but Fabric wants a ref
   sim::Engine e0, e1;
   atm::FabricParams params;
-  atm::Fabric fabric{legacy, params};
+  atm::Fabric fabric{params, sim::ShardPlan::balanced(4, 2), {&e0, &e1}};
   std::vector<std::pair<atm::NodeId, atm::NodeId>> deliveries;  // (dst, src)
 
   ShardedFabricFixture() {
     for (atm::NodeId n = 0; n < 4; ++n) {
       fabric.attach(n, [this, n](atm::Frame f) { deliveries.emplace_back(n, f.src); });
     }
-    std::vector<sim::Engine*> eng = {&e0, &e0, &e1, &e1};
-    // Unattached ports keep null entries; mapping vectors span all ports.
-    eng.resize(params.switch_ports, nullptr);
-    std::vector<std::uint32_t> shard = {0, 0, 1, 1};
-    shard.resize(params.switch_ports, 0);
-    fabric.enable_sharding(std::move(eng), std::move(shard),
-                           sim::ShardPlan::balanced(4, 2), nullptr);
   }
 
   atm::Frame frame(atm::NodeId src, atm::NodeId dst) const {
@@ -265,8 +259,7 @@ struct ShardedFabricFixture {
 
 TEST(ShardedFabric, SendsBufferUntilDrain) {
   ShardedFabricFixture fx;
-  const atm::DeliveryTiming t = fx.fabric.send(0, fx.frame(0, 2));
-  EXPECT_EQ(t.arrival, 0u) << "sharded sends cannot know the arrival time";
+  fx.fabric.send(0, fx.frame(0, 2));
   fx.run_all();
   EXPECT_TRUE(fx.deliveries.empty()) << "nothing may deliver before the barrier";
   EXPECT_EQ(fx.fabric.drain(sim::kNever), sim::kNever);
@@ -409,20 +402,12 @@ TEST(ParsimDeterminism, RandomizedRunsAreByteIdenticalAcrossShardCounts) {
     params.obs.trace = true;  // exercise trace-export identity too
     params.sim_shards = 1;
     const std::string base = run_fingerprint(params, config);
-    // The knob matrix: epoch fusion and the per-pair lookahead bound change
-    // the epoch schedule, never the bytes — every combination at every K
+    // The shard count changes the epoch schedule, never the bytes — every K
     // must reproduce the K=1 fingerprint exactly.
-    for (const bool fuse : {false, true}) {
-      for (const bool pair : {false, true}) {
-        for (const std::uint32_t k : {1u, 2u, 4u}) {
-          params.sim_shards = k;
-          params.sim_fusion = fuse;
-          params.sim_pair_lookahead = pair;
-          EXPECT_EQ(base, run_fingerprint(params, config))
-              << "trial " << trial << " diverged at K=" << k
-              << " fusion=" << fuse << " pair_lookahead=" << pair;
-        }
-      }
+    for (const std::uint32_t k : {1u, 2u, 4u}) {
+      params.sim_shards = k;
+      EXPECT_EQ(base, run_fingerprint(params, config))
+          << "trial " << trial << " diverged at K=" << k;
     }
   }
 }
@@ -430,10 +415,10 @@ TEST(ParsimDeterminism, RandomizedRunsAreByteIdenticalAcrossShardCounts) {
 TEST(ParsimDeterminism, ExhaustiveKnobGridIsByteIdenticalOnBoundedCluster) {
   // Exhaustive (not sampled) schedule coverage on a bounded cluster: every
   // legal shard count 1..nodes — including K=3, which splits 4 nodes into
-  // unequal shards — crossed with both fusion and pair-lookahead settings.
-  // Each knob combination produces a different epoch schedule, i.e. a
-  // different interleaving of shard execution, fusion decisions and barrier
-  // drains; all of them must reproduce the K=1 fingerprint byte for byte.
+  // unequal shards and so routes every send through the barrier. Each K
+  // produces a different epoch schedule, i.e. a different interleaving of
+  // shard execution, fusion decisions and barrier drains; all of them must
+  // reproduce the K=1 fingerprint byte for byte.
   apps::JacobiConfig config;
   config.n = 16;
   config.iterations = 2;
@@ -442,16 +427,8 @@ TEST(ParsimDeterminism, ExhaustiveKnobGridIsByteIdenticalOnBoundedCluster) {
   params.sim_shards = 1;
   const std::string base = run_fingerprint(params, config);
   for (std::uint32_t k = 1; k <= 4; ++k) {
-    for (const bool fuse : {false, true}) {
-      for (const bool pair : {false, true}) {
-        params.sim_shards = k;
-        params.sim_fusion = fuse;
-        params.sim_pair_lookahead = pair;
-        EXPECT_EQ(base, run_fingerprint(params, config))
-            << "diverged at K=" << k << " fusion=" << fuse
-            << " pair_lookahead=" << pair;
-      }
-    }
+    params.sim_shards = k;
+    EXPECT_EQ(base, run_fingerprint(params, config)) << "diverged at K=" << k;
   }
 }
 
@@ -505,34 +482,92 @@ TEST(ParsimCluster, EpochStatsAreConsistent) {
   // K = 1 runs inline: same epoch algorithm, no rendezvous ever.
   params.sim_shards = 1;
   EXPECT_EQ(apps::run_jacobi(params, config).parsim.barriers, 0u);
+}
 
-  // Legacy mode reports zeros.
-  params.sim_shards = 0;
-  EXPECT_EQ(apps::run_jacobi(params, config).parsim.epochs, 0u);
+/// A synthetic 8-node workload on four shard engines, driven straight
+/// through sim::run_epochs: every node computes in 10 us steps, sends each
+/// step to its shard partner (local traffic) and every fifth step to a node
+/// two shards away, which answers. `fused` selects the cluster's schedule
+/// (fusion ledger + per-pair lookahead) or the plain epoch sequence
+/// run_epochs falls back to without them.
+struct EpochRun {
+  std::vector<std::vector<std::string>> logs;  // per node: "t src vci"
+  sim::EpochStats stats;
+};
+
+EpochRun run_synthetic_epochs(bool fused) {
+  constexpr std::uint32_t kNodes = 8;
+  constexpr std::uint32_t kSteps = 20;
+  const sim::ShardPlan plan = sim::ShardPlan::balanced(kNodes, 4);
+  std::vector<std::unique_ptr<sim::Engine>> owned;
+  std::vector<sim::Engine*> engines;
+  for (std::uint32_t s = 0; s < plan.shards; ++s) {
+    owned.push_back(std::make_unique<sim::Engine>());
+    engines.push_back(owned.back().get());
+  }
+  sim::FusionLedger ledger;
+  atm::FabricParams fp;
+  atm::Fabric fabric(fp, plan, engines, fused ? &ledger : nullptr);
+  EpochRun run;
+  run.logs.resize(kNodes);
+  auto engine_of = [&](atm::NodeId n) -> sim::Engine& {
+    return *engines[plan.shard_of(n)];
+  };
+  auto send = [&](atm::NodeId src, atm::NodeId dst, std::uint32_t vci) {
+    atm::Frame f = atm::Frame::blank(src, dst, vci, 256);
+    fabric.send(engine_of(src).now(), std::move(f));
+  };
+  for (atm::NodeId n = 0; n < kNodes; ++n) {
+    fabric.attach(n, [&, n](atm::Frame f) {
+      run.logs[n].push_back(std::to_string(engine_of(n).now()) + ' ' +
+                            std::to_string(f.src) + ' ' + std::to_string(f.vci));
+      if (f.vci >= 1000 && f.vci < 2000) send(n, f.src, f.vci + 1000);  // reply
+    });
+  }
+  std::function<void(atm::NodeId, std::uint32_t)> step = [&](atm::NodeId n,
+                                                             std::uint32_t k) {
+    send(n, n ^ 1u, k);
+    if (k % 5 == 4) send(n, (n + 4) % kNodes, 1000 + k);
+    if (k + 1 < kSteps) {
+      engine_of(n).schedule_after(10 * sim::kMicrosecond,
+                                  [&step, n, k] { step(n, k + 1); });
+    }
+  };
+  for (atm::NodeId n = 0; n < kNodes; ++n) {
+    engine_of(n).schedule_at(0, [&step, n] { step(n, 0); });
+  }
+
+  sim::EpochParams ep;
+  ep.lookahead = fabric.min_lookahead();
+  ep.drain_horizon = fabric.drain_horizon();
+  ep.pending_bound = fabric.pending_bound();
+  const sim::LookaheadMatrix matrix = fabric.lookahead_matrix(plan);
+  auto local_drain = [&](std::uint32_t s, sim::SimTime limit) {
+    return fabric.local_drain(s, limit);
+  };
+  auto local_min = [&](std::uint32_t s) { return fabric.local_pending_min(s); };
+  const sim::FusedHooks hooks{local_drain, local_min, fused ? &ledger : nullptr};
+  sim::run_epochs(engines, ep, fused ? &matrix : nullptr, hooks,
+                  [&](sim::SimTime limit) { return fabric.drain(limit); }, &run.stats);
+  return run;
 }
 
 TEST(ParsimCluster, FusionShrinksTheEpochScheduleWithoutChangingResults) {
-  apps::JacobiConfig config;
-  config.n = 16;
-  config.iterations = 2;
-  cluster::SimParams params = apps::make_params(cluster::BoardKind::kCni, 4);
-  params.sim_shards = 4;
-  params.sim_fusion = false;
-  params.sim_pair_lookahead = false;  // the PR-5 epoch schedule
-  const apps::RunResult off = apps::run_jacobi(params, config);
-  EXPECT_EQ(off.parsim.fused_epochs, 0u) << "fusion off must never fuse";
+  const EpochRun off = run_synthetic_epochs(false);  // the plain epoch sequence
+  EXPECT_EQ(off.stats.fused_epochs, 0u) << "no ledger must never fuse";
 
-  params.sim_fusion = true;
-  params.sim_pair_lookahead = true;
-  const apps::RunResult on = apps::run_jacobi(params, config);
-  EXPECT_EQ(on.elapsed_cycles, off.elapsed_cycles)
+  const EpochRun on = run_synthetic_epochs(true);
+  EXPECT_EQ(on.logs, off.logs)
       << "the epoch schedule must be invisible in simulated results";
-  EXPECT_EQ(on.parsim.events_total, off.parsim.events_total);
-  EXPECT_GT(on.parsim.fused_epochs, 0u)
+  EXPECT_EQ(on.stats.events_total, off.stats.events_total);
+  EXPECT_GT(on.stats.fused_epochs, 0u)
       << "the opening epoch has nothing buffered and must fuse";
-  EXPECT_LT(on.parsim.epochs, off.parsim.epochs)
+  EXPECT_LT(on.stats.epochs, off.stats.epochs)
       << "fusion must reduce the epoch count on a run with compute phases";
-  EXPECT_LE(on.parsim.barriers, on.parsim.epochs);
+  EXPECT_LE(on.stats.barriers, on.stats.epochs);
+  std::size_t delivered = 0;
+  for (const std::vector<std::string>& log : on.logs) delivered += log.size();
+  EXPECT_EQ(delivered, 8u * 20 + 2 * 8u * 4) << "every step, probe and reply arrives";
 }
 
 TEST(ParsimCluster, DeadlockIsDiagnosedInShardedMode) {

@@ -229,7 +229,7 @@ TEST(DistanceLookahead, TorusNonNeighborPairsExceedTheBanyanBound) {
   atm::FabricParams fp;
   fp.switch_ports = 256;
   fp.topology = atm::TopologyKind::kTorus;
-  const atm::Fabric fabric(eng, fp);
+  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(256, 1), {&eng});
   const sim::ShardPlan plan = sim::ShardPlan::balanced(256, 4);
   const sim::LookaheadMatrix m = fabric.lookahead_matrix(plan);
 
@@ -256,7 +256,7 @@ TEST(DistanceLookahead, ClosMatrixReflectsAncestorHeightPerPair) {
   fp.switch_ports = 64;
   fp.topology = atm::TopologyKind::kClos;
   fp.clos_radix = 8;
-  const atm::Fabric fabric(eng, fp);
+  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(64, 1), {&eng});
   const sim::LookaheadMatrix m =
       fabric.lookahead_matrix(sim::ShardPlan::balanced(64, 16));
 
