@@ -75,7 +75,6 @@ sim::SimDuration measure(cluster::BoardKind board, std::uint64_t bytes,
     pt.label = std::string("bytes=") + std::to_string(bytes) + " system=" + system;
     pt.config = {{"bytes", std::to_string(bytes)}, {"system", system}};
     pt.values = {{"latency_us", sim::to_micros(latency)}};
-    bench::fill_legacy(pt, cl.stats().total());
     pt.snapshot = cl.snapshot();
     rep->add_point(std::move(pt));
   }

@@ -65,7 +65,6 @@ struct ModeResult {
   std::uint32_t fanin = 0;
   std::uint32_t depth = 0;
   cni::obs::Snapshot snapshot;       ///< barrier phase
-  cni::sim::NodeStats totals;        ///< barrier phase
 };
 
 struct Point {
@@ -106,7 +105,6 @@ cni::sim::SimTime run_phase(const cni::cluster::SimParams& params,
     out->fanin = sys.collective_tree().fanin;
     out->depth = sys.collective_tree().depth;
     out->snapshot = cl.snapshot();
-    out->totals = cl.stats().total();
   }
   return elapsed;
 }
@@ -238,7 +236,6 @@ int main(int argc, char** argv) {
                        {"reduce_ps", static_cast<double>(m.reduce_ps)},
                        {"fanin", static_cast<double>(m.fanin)},
                        {"depth", static_cast<double>(m.depth)}};
-          bench::fill_legacy(pt, m.totals);
           pt.snapshot = m.snapshot;
           reporter.add_point(std::move(pt));
         }

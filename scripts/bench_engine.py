@@ -15,7 +15,7 @@ Captures the machine-readable throughput numbers the PR/README quote:
 events/sec from micro_engine, lookups/sec from micro_mcache, the
 zero-copy-vs-legacy data-path comparison from micro_datapath (throughput,
 speedup ratios, and the steady-state heap-allocation count), the
-observability overhead ladder from micro_obs (compiled-out reference vs
+observability overhead ladder from micro_obs (uninstrumented reference vs
 runtime-off residue vs live metrics vs full tracing), the sharded-engine
 scaling points from micro_parsim (wall clock plus the machine-independent
 event-parallelism bound per shard count), and the fabric-topology scaling
@@ -149,7 +149,7 @@ def write_obs() -> None:
         b = by_name[name]
         return b["real_time"] * NS_PER[b.get("time_unit", "ns")]
 
-    base = ns("BM_ProbeCompiledOut")
+    base = ns("BM_ProbeUninstrumented")
 
     def pct_over_base(name: str) -> float:
         return round(100.0 * (ns(name) - base) / base, 2)
@@ -159,11 +159,10 @@ def write_obs() -> None:
     result = {
         "context": context_of(report),
         "probe": {
-            # The kill-switch reference: the same operation with every emit
-            # macro removed by the preprocessor. The runtime-off delta is the
-            # shipped default's entire cost (one pointer test per site) and
-            # must stay in the noise.
-            "compiled_out_ns": round(base, 2),
+            # The reference: the same operation written without any emit
+            # site. The runtime-off delta is the shipped default's entire
+            # cost (one pointer test per site) and must stay in the noise.
+            "uninstrumented_ns": round(base, 2),
             "runtime_off_ns": round(ns("BM_ProbeRuntimeOff"), 2),
             "runtime_off_overhead_pct": pct_over_base("BM_ProbeRuntimeOff"),
             "metrics_on_ns": round(ns("BM_ProbeMetricsOn"), 2),

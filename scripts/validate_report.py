@@ -3,16 +3,13 @@
 
 Usage: scripts/validate_report.py METRICS.json [--trace TRACE.json]
 
-Checks three things, stdlib only (CI runs this with no third-party deps):
+Checks, stdlib only (CI runs this with no third-party deps):
 
 1. Shape: METRICS.json matches scripts/report_schema.json (the checked-in
    contract for schema "cni-run-report"; see src/obs/report.cpp).
 2. Consistency: per point, the "totals" section equals the per-name sum of
-   the node counters it claims to aggregate.
-3. Legacy parity: every legacy NodeStats account ("legacy" section) has a
-   matching entry in "totals" with the exact same value. The obs counters
-   are bound views over the legacy fields, so any drift here means an
-   instrumentation bug, not measurement noise.
+   the node counters it claims to aggregate, the trace_truncated flags
+   match the ring drop counters, and each critical path's buckets add up.
 
 With --trace, also validates the Chrome trace_event JSON emitted via
 --trace-out= (envelope, event phases, span durations).
@@ -113,15 +110,6 @@ def validate_metrics(report: dict, schema: dict) -> list[str]:
                 if a != b:
                     errors.append(f"{where}: totals[{name}]={b} but node counters sum to {a}")
 
-        # Legacy parity: the metrics layer mirrors every NodeStats account.
-        for name, legacy_v in pt["legacy"].items():
-            if name not in pt["totals"]:
-                errors.append(f"{where}: legacy account '{name}' missing from totals")
-            elif pt["totals"][name] != legacy_v:
-                errors.append(
-                    f"{where}: totals[{name}]={pt['totals'][name]} != legacy {legacy_v}"
-                )
-
         # trace_truncated honesty: the per-point flag must match the per-node
         # drop counters, and the top-level flag must OR the points.
         dropped = any(node["trace"]["dropped"] > 0 for node in pt["nodes"])
@@ -218,10 +206,10 @@ def main() -> int:
         print("=" * 64, file=sys.stderr)
 
     n_points = len(report["points"])
-    n_accounts = len(report["points"][0]["legacy"]) if n_points else 0
+    n_counters = len(report["points"][0]["totals"]) if n_points else 0
     msg = (
         f"validate_report: OK — {n_points} point(s), "
-        f"{n_accounts} legacy accounts all matched by totals"
+        f"{n_counters} counters, totals match the node sums"
     )
     if n_events is not None:
         msg += f", {n_events} trace events"

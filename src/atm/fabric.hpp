@@ -83,7 +83,6 @@ class Fabric {
 
   [[nodiscard]] const FabricParams& params() const { return params_; }
   [[nodiscard]] const CellGeometry& cells() const { return geometry_; }
-  [[nodiscard]] std::uint32_t node_limit() const { return params_.switch_ports; }
 
   /// Registers the receive hook for a node (its NIC's reassembly input).
   void attach(NodeId node, DeliveryHook hook);

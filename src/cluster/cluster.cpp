@@ -91,7 +91,6 @@ Cluster::Cluster(const SimParams& params)
       stats_(params.processors),
       obs_(params.processors, params.obs) {
   for (std::uint32_t i = 0; i < params.processors; ++i) {
-    obs_.bind_node_stats(i, stats_.node(i));
     nodes_.push_back(std::make_unique<Node>(*shard_engines_[plan_.shard_of(i)], fabric_,
                                             params_, i, stats_.node(i), &obs_.node(i)));
   }
@@ -170,9 +169,13 @@ obs::Snapshot Cluster::snapshot() const {
     const obs::NodeObs& src = obs_.node(i);
     obs::NodeSnapshot node;
     node.node = i;
-    src.metrics().for_each_counter([&node](const std::string& name, std::uint64_t v) {
-      node.counters.push_back(obs::CounterSnapshot{name, v});
-    });
+    // The per-node accounts are the one counter schema: NodeStats::fields()
+    // fixes both the names and the order the report serializes.
+    const sim::NodeStats& st = stats_.node(i);
+    node.counters.reserve(sim::NodeStats::fields().size());
+    for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
+      node.counters.push_back(obs::CounterSnapshot{f.name, st.*f.member});
+    }
     src.metrics().for_each_histogram([&node](const std::string& name, const obs::Hist& h) {
       obs::HistSnapshot hs;
       hs.name = name;

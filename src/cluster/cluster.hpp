@@ -72,8 +72,9 @@ class Cluster {
   /// results are byte-identical with or without it. Pass null to detach.
   void set_shard_profiler(sim::ShardProfiler* prof) { shard_prof_ = prof; }
 
-  /// Materializes every bound counter, histogram, gauge and (when tracing)
-  /// the trace rings into a Snapshot that outlives the cluster.
+  /// Materializes each node's NodeStats accounts (as counters, in
+  /// NodeStats::fields() order), histograms, gauges and (when tracing) the
+  /// trace rings into a Snapshot that outlives the cluster.
   [[nodiscard]] obs::Snapshot snapshot() const;
 
   /// Runs `body(node_index, thread)` on every node concurrently (in

@@ -48,7 +48,6 @@ class HostCpu final : public nic::HostSystem {
   /// interrupts — into simulated delay. Call at every synchronisation point.
   void sync(sim::SimThread& self);
 
-  [[nodiscard]] sim::LocalClock& local_clock() { return clock_; }
   [[nodiscard]] mem::CacheModel& cache() { return cache_; }
 
   // ---- HostSystem interface (used by the boards) ----

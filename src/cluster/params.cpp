@@ -35,11 +35,14 @@ CollectiveMode g_default_collective = CollectiveMode::kHost;
 }  // namespace
 
 CollectiveMode default_collective() {
-  if (const char* env = std::getenv("CNI_COLLECTIVE"); env != nullptr) {
-    CollectiveMode mode = g_default_collective;
-    if (parse_collective(env, mode)) return mode;
+  const char* env = std::getenv("CNI_COLLECTIVE");
+  if (env == nullptr) return g_default_collective;
+  CollectiveMode mode = g_default_collective;
+  if (!parse_collective(env, mode)) {
+    std::fprintf(stderr, "error: invalid CNI_COLLECTIVE=%s (takes nic or host)\n", env);
+    std::exit(2);
   }
-  return g_default_collective;
+  return mode;
 }
 
 void set_default_collective(CollectiveMode mode) { g_default_collective = mode; }

@@ -97,8 +97,6 @@ class AdcChannel {
   std::optional<AdcDescriptor> poll_receive() { return rx_.pop(); }
 
   [[nodiscard]] const DescriptorRing& tx_ring() const { return tx_; }
-  [[nodiscard]] const DescriptorRing& rx_ring() const { return rx_; }
-  [[nodiscard]] const DescriptorRing& free_ring() const { return free_; }
 
   [[nodiscard]] std::uint64_t protection_rejects() const { return protection_rejects_; }
 

@@ -72,7 +72,6 @@ class CniBoard final : public nic::OsirisBoard {
   [[nodiscard]] DualPortMemory& board_memory() { return board_mem_; }
   [[nodiscard]] AihRegion& aih() { return aih_; }
   [[nodiscard]] const PollGovernor& poll_governor() const { return governor_; }
-  [[nodiscard]] AdcChannel& system_channel() { return *system_channel_; }
 
  protected:
   void on_frame(atm::Frame frame) override;
@@ -104,8 +103,8 @@ class CniBoard final : public nic::OsirisBoard {
   AdcChannel* system_channel_ = nullptr;
 
   // Observability handles, resolved once at construction (cold path); the
-  // data path only ever dereferences them through the CNI_TRACE_*/CNI_OBS_*
-  // macros, which compile out under CNI_OBS_DISABLED.
+  // data path only ever dereferences them through the null-safe
+  // CNI_TRACE_*/CNI_OBS_* macros.
   obs::Hist* tx_wait_hist_ = nullptr;     ///< adc.tx_wait_ps
   obs::Gauge* tx_ring_gauge_ = nullptr;   ///< adc.tx_occupancy
   bool governor_intr_mode_ = false;       ///< last notification decision (edge detect)

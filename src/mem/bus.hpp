@@ -73,11 +73,6 @@ class MemoryBus {
     return transaction_time(bytes);
   }
 
-  /// A CPU-originated read transaction (line fill). Timing only.
-  [[nodiscard]] sim::SimDuration cpu_read(std::uint64_t bytes) const {
-    return transaction_time(bytes);
-  }
-
   [[nodiscard]] sim::SimTime busy_until() const { return queue_.busy_until(); }
   [[nodiscard]] std::uint64_t dma_transfers() const { return dma_transfers_; }
   [[nodiscard]] std::uint64_t dma_bytes() const { return dma_bytes_; }

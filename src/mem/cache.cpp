@@ -48,7 +48,6 @@ CacheAccess CacheModel::access(PAddr addr, bool is_write) {
   Line& e2 = l2_[l2_index(line)];
   const bool l2_hit = e2.valid && e2.tag == line;
   if (l2_hit) {
-    ++l2_hits_;
     r.l2_hit = true;
     r.cpu_cycles = params_.l2_latency_cycles;
   } else {

@@ -59,7 +59,6 @@ class CacheModel {
   // Counters for tests and ablation benches.
   [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
   [[nodiscard]] std::uint64_t l1_hits() const { return l1_hits_; }
-  [[nodiscard]] std::uint64_t l2_hits() const { return l2_hits_; }
   [[nodiscard]] std::uint64_t writebacks() const { return writebacks_; }
 
  private:
@@ -78,7 +77,6 @@ class CacheModel {
   std::vector<Line> l2_;
   std::uint64_t accesses_ = 0;
   std::uint64_t l1_hits_ = 0;
-  std::uint64_t l2_hits_ = 0;
   std::uint64_t writebacks_ = 0;
 };
 

@@ -83,7 +83,6 @@ class Tlb {
 
   [[nodiscard]] std::uint64_t lookups() const { return lookups_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
-  [[nodiscard]] std::uint32_t miss_penalty() const { return miss_penalty_; }
 
  private:
   struct Entry {

@@ -126,7 +126,6 @@ class NicBoard {
     }
 
     [[nodiscard]] sim::SimTime cursor() const { return cursor_; }
-    void set_cursor(sim::SimTime t) { cursor_ = t; }
     [[nodiscard]] bool on_nic() const { return on_nic_; }
     [[nodiscard]] NicBoard& board() { return board_; }
 

@@ -26,7 +26,6 @@ class OsirisBoard : public NicBoard {
   [[nodiscard]] const NicParams& params() const override { return params_; }
 
   [[nodiscard]] atm::NodeId node() const { return node_; }
-  [[nodiscard]] const sim::Clock& nic_clock() const { return nic_clock_; }
 
   std::uint32_t next_seq() override { return seq_++; }
 

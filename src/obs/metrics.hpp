@@ -1,23 +1,18 @@
-// Metrics registry: named counters, gauges and log-2 latency histograms.
+// Metrics registry: named gauges and log-2 latency histograms.
 //
 // Handles are resolved by name exactly once, at setup (board/runtime
-// constructors); the hot path touches a plain uint64 or a histogram bucket —
+// constructors); the hot path touches a gauge word or a histogram bucket —
 // no string lookups, no allocation after init (enforced by the hot-path
 // rules in scripts/lint_cni.py, which cover src/obs/).
 //
-// Counters come in two flavours: *bound* counters are read-only views onto
-// externally-owned fields (the legacy sim::NodeStats accounts — binding
-// instead of duplicating is what makes the migration cross-check exact by
-// construction), and *owned* counters live in the registry for components
-// with no NodeStats field.
+// Plain counters are not registered here: the per-node accounts are
+// sim::NodeStats, and Cluster::snapshot() copies them out through
+// NodeStats::fields().
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
-
-#include "util/check.hpp"
 
 namespace cni::obs {
 
@@ -84,23 +79,6 @@ class Gauge {
 /// every handed-out pointer stable for the life of the registry.
 class Metrics {
  public:
-  /// Registers `name` as a view onto an externally-owned counter field.
-  void bind_counter(std::string name, const std::uint64_t* value) {
-    CNI_CHECK(value != nullptr);
-    counters_.push_back(CounterEntry{std::move(name), value, nullptr});
-  }
-
-  /// Returns the owned counter registered under `name`, creating it on first
-  /// use. Resolve once at setup; bump through the pointer on the hot path.
-  [[nodiscard]] std::uint64_t* counter(const std::string& name) {
-    for (CounterEntry& e : counters_) {
-      if (e.owned != nullptr && e.name == name) return e.owned;
-    }
-    owned_counters_.push_back(0);
-    counters_.push_back(CounterEntry{name, &owned_counters_.back(), &owned_counters_.back()});
-    return &owned_counters_.back();
-  }
-
   [[nodiscard]] Hist* histogram(const std::string& name) {
     for (HistEntry& e : hists_) {
       if (e.name == name) return &e.hist;
@@ -117,12 +95,6 @@ class Metrics {
     return &gauges_.back().gauge;
   }
 
-  /// fn(name, value) over every counter, in registration order.
-  template <typename Fn>
-  void for_each_counter(Fn&& fn) const {
-    for (const CounterEntry& e : counters_) fn(e.name, *e.value);
-  }
-
   /// fn(name, const Hist&) in registration order.
   template <typename Fn>
   void for_each_histogram(Fn&& fn) const {
@@ -136,11 +108,6 @@ class Metrics {
   }
 
  private:
-  struct CounterEntry {
-    std::string name;
-    const std::uint64_t* value;  ///< what for_each_counter reads
-    std::uint64_t* owned;        ///< non-null iff the registry owns the value
-  };
   struct HistEntry {
     std::string name;
     Hist hist;
@@ -150,8 +117,6 @@ class Metrics {
     Gauge gauge;
   };
 
-  std::vector<CounterEntry> counters_;
-  std::deque<std::uint64_t> owned_counters_;  // stable addresses
   std::deque<HistEntry> hists_;
   std::deque<GaugeEntry> gauges_;
 };

@@ -1,6 +1,8 @@
 #include "obs/options.hpp"
 
 #include <atomic>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 namespace cni::obs {
@@ -16,24 +18,43 @@ struct PackedOptions {
 };
 std::atomic<PackedOptions> g_defaults{PackedOptions{}};
 
-PackedOptions from_env() {
-  PackedOptions p;
-  p.init = true;
-  const char* trace = std::getenv("CNI_TRACE");
-  p.trace = trace != nullptr && trace[0] != '\0' && trace[0] != '0';
-  if (const char* cap = std::getenv("CNI_TRACE_CAPACITY"); cap != nullptr) {
-    const unsigned long v = std::strtoul(cap, nullptr, 10);
-    if (v > 0) p.capacity = static_cast<std::uint32_t>(v);
-  }
-  return p;
+}  // namespace
+
+bool parse_trace_capacity(std::string_view text, std::uint32_t& out) {
+  std::uint32_t v = 0;
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (ec != std::errc() || end != last || v == 0) return false;
+  out = v;
+  return true;
 }
 
-}  // namespace
+Options options_from_env() {
+  Options o;
+  if (const char* trace = std::getenv("CNI_TRACE"); trace != nullptr) {
+    const std::string_view v(trace);
+    if (v != "0" && v != "1") {
+      std::fprintf(stderr, "error: invalid CNI_TRACE=%s (takes 0 or 1)\n", trace);
+      std::exit(2);
+    }
+    o.trace = v == "1";
+  }
+  if (const char* cap = std::getenv("CNI_TRACE_CAPACITY");
+      cap != nullptr && !parse_trace_capacity(cap, o.trace_capacity)) {
+    std::fprintf(stderr,
+                 "error: invalid CNI_TRACE_CAPACITY=%s (takes a record count between 1 "
+                 "and 4294967295)\n",
+                 cap);
+    std::exit(2);
+  }
+  return o;
+}
 
 Options default_options() {
   PackedOptions p = g_defaults.load(std::memory_order_acquire);
   if (!p.init) {
-    p = from_env();
+    const Options env = options_from_env();
+    p = PackedOptions{true, env.trace, env.trace_capacity};
     g_defaults.store(p, std::memory_order_release);
   }
   Options o;

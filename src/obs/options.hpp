@@ -2,13 +2,14 @@
 //
 // Tracing is off by default: the per-record cost is small but the figure
 // sweeps run billions of events, and the paper's numbers must never depend
-// on whether anyone was watching. The runtime switch is the CNI_TRACE
+// on whether anyone was watching. The one switch is the CNI_TRACE
 // environment variable (or an explicit --trace-out flag in the bench
-// binaries); the compile-time kill switch is -DCNI_OBS_DISABLED, which
-// compiles every instrumentation site out entirely (see obs.hpp).
+// binaries); with it off every instrumentation site costs one pointer test
+// (see obs.hpp).
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
 namespace cni::obs {
 
@@ -22,10 +23,20 @@ struct Options {
 };
 
 /// Process-wide default options, consulted by SimParams. Initialized once
-/// from the environment (CNI_TRACE=1, CNI_TRACE_CAPACITY=<records>); a bench
-/// binary's --trace-out flag overrides them via set_default_options() before
-/// any sweep thread starts.
+/// from the environment (options_from_env()); a bench binary's --trace-out
+/// flag overrides them via set_default_options() before any sweep thread
+/// starts.
 [[nodiscard]] Options default_options();
 void set_default_options(const Options& opts);
+
+/// Reads CNI_TRACE (exactly `0` or `1`) and CNI_TRACE_CAPACITY (a decimal
+/// record count in [1, 2^32-1]) without caching. Any other value prints the
+/// accepted values and exits with status 2 rather than silently running
+/// with some other setting.
+[[nodiscard]] Options options_from_env();
+
+/// Parses a trace ring capacity: a plain decimal in [1, 2^32-1], no sign,
+/// whitespace or suffix. Leaves `out` untouched and returns false otherwise.
+[[nodiscard]] bool parse_trace_capacity(std::string_view text, std::uint32_t& out);
 
 }  // namespace cni::obs

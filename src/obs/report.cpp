@@ -232,16 +232,6 @@ void append_point_json(std::string& out, const ReportPoint& pt) {
     out += "\":";
     append_double(out, v);
   }
-  out += "},\"legacy\":{";
-  first = true;
-  for (const auto& [k, v] : pt.legacy) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(k);
-    out += "\":";
-    append_u64(out, v);
-  }
   append_fmt(out, "},\"traced\":%s,\"trace_truncated\":%s,\"critpath\":",
              pt.snapshot.traced ? "true" : "false",
              point_truncated(pt) ? "true" : "false");
@@ -254,7 +244,7 @@ void append_point_json(std::string& out, const ReportPoint& pt) {
     append_node_json(out, node);
   }
   // Totals: every counter name summed across nodes, in first-appearance
-  // order. This is the section validate_report.py diffs against "legacy".
+  // order (validate_report.py checks them against the per-node sum).
   std::vector<std::pair<std::string, std::uint64_t>> totals;
   for (const NodeSnapshot& node : pt.snapshot.nodes) {
     for (const CounterSnapshot& c : node.counters) {
@@ -342,8 +332,13 @@ Reporter::Reporter(int argc, char** argv, std::string binary)
       critpath_path_ = arg + 15;
       opts.trace = true;  // critpath extraction needs the causal records
     } else if (std::strncmp(arg, "--trace-capacity=", 17) == 0) {
-      opts.trace_capacity =
-          static_cast<std::uint32_t>(std::strtoul(arg + 17, nullptr, 10));
+      if (!parse_trace_capacity(arg + 17, opts.trace_capacity)) {
+        std::fprintf(stderr,
+                     "error: invalid --trace-capacity=%s (takes a record count between 1 "
+                     "and 4294967295)\n",
+                     arg + 17);
+        std::exit(2);
+      }
     }
   }
   // Install before any sweep thread exists: worker threads read the default

@@ -25,18 +25,14 @@ namespace cni::obs {
 
 /// Bumped whenever the report layout changes; validate_report.py pins it.
 /// v2: per-point "trace_truncated" + "critpath", top-level "trace_truncated".
-inline constexpr std::uint32_t kReportVersion = 2;
+/// v3: the per-point "legacy" object is gone; "totals" is the only sum.
+inline constexpr std::uint32_t kReportVersion = 3;
 
 /// Results of one sweep point (one Cluster run).
 struct ReportPoint {
   std::string label;  ///< e.g. "procs=8 system=cni"
   std::vector<std::pair<std::string, std::string>> config;  ///< point config
   std::vector<std::pair<std::string, double>> values;       ///< figure numbers
-  /// Legacy NodeStats totals, serialized through NodeStats::fields() by the
-  /// caller. Redundant with summing the snapshot's bound counters — which is
-  /// the point: validate_report.py diffs the two to prove the metrics
-  /// registry never drifts from the accounts the figures are computed from.
-  std::vector<std::pair<std::string, std::uint64_t>> legacy;
   Snapshot snapshot;
 };
 

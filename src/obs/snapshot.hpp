@@ -1,9 +1,10 @@
 // Materialized observability results.
 //
-// A Metrics registry is full of *views* — bound counters point into the
-// cluster's NodeStats accounts, which die with the Cluster. A Snapshot copies
-// every value out at end of run so RunResult can carry the numbers past the
-// simulation's lifetime, into report writers and tests.
+// The per-node accounts (sim::NodeStats), the Metrics registry and the trace
+// rings all die with the Cluster. A Snapshot copies every value out at end of
+// run so RunResult can carry the numbers past the simulation's lifetime, into
+// report writers and tests. Counters are the NodeStats fields, named and
+// ordered by NodeStats::fields().
 #pragma once
 
 #include <cstdint>

@@ -44,8 +44,6 @@ class WaitQueue {
     w->wake();
   }
 
-  [[nodiscard]] bool has_waiters() const { return !waiters_.empty(); }
-  [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
   std::vector<SimThread*> waiters_;
@@ -67,14 +65,6 @@ class SimChannel {
     T v = std::move(queue_.front());
     queue_.pop_front();
     return v;
-  }
-
-  /// Non-blocking receive; returns true and fills `out` if a value was ready.
-  bool try_receive(T& out) {
-    if (queue_.empty()) return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-    return true;
   }
 
   [[nodiscard]] bool empty() const { return queue_.empty(); }

@@ -56,7 +56,10 @@ struct CacheAlignedAlloc {
 /// so ids of fired or cancelled events go stale instead of being reused.
 using EventId = std::uint64_t;
 
-class Engine {
+/// Cache-line aligned: each shard thread writes its own engine's clock,
+/// counters and heap bounds on every event, and a sharded cluster allocates
+/// its engines back to back, so two engines must never share a line.
+class alignas(64) Engine {
  public:
   using Callback = InlineFn;
 
@@ -116,7 +119,6 @@ class Engine {
     return heap_t_.empty() ? 0 : heap_t_.size() - kPad;
   }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  [[nodiscard]] std::uint64_t events_scheduled() const { return scheduled_; }
   [[nodiscard]] std::uint64_t events_cancelled() const { return cancelled_; }
 
  private:
@@ -160,7 +162,6 @@ class Engine {
   SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t delivery_seq_ = 0;
-  std::uint64_t scheduled_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   // The heap, struct-of-arrays: node i is (heap_t_[i], heap_seq_[i],

@@ -126,11 +126,10 @@ class LocalClock {
   explicit LocalClock(Clock domain) : domain_(domain) {}
 
   void charge_cycles(std::uint64_t cycles) { pending_cycles_ += cycles; }
-  void charge_time(SimDuration d) { pending_extra_ += d; }
 
   [[nodiscard]] std::uint64_t pending_cycles() const { return pending_cycles_; }
   [[nodiscard]] SimDuration pending() const {
-    return domain_.cycles(pending_cycles_) + pending_extra_;
+    return domain_.cycles(pending_cycles_);
   }
   [[nodiscard]] const Clock& domain() const { return domain_; }
 
@@ -138,14 +137,12 @@ class LocalClock {
   void sync(SimThread& thread) {
     const SimDuration d = pending();
     pending_cycles_ = 0;
-    pending_extra_ = 0;
     if (d > 0) thread.delay(d);
   }
 
  private:
   Clock domain_;
   std::uint64_t pending_cycles_ = 0;
-  SimDuration pending_extra_ = 0;
 };
 
 }  // namespace cni::sim

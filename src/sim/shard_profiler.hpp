@@ -48,12 +48,6 @@ inline constexpr std::size_t kShardPhaseCount = 5;
 struct ShardProfile {
   std::uint64_t ns[kShardPhaseCount] = {};
   std::uint64_t transitions = 0;
-
-  [[nodiscard]] std::uint64_t total_ns() const {
-    std::uint64_t t = 0;
-    for (const std::uint64_t v : ns) t += v;
-    return t;
-  }
 };
 
 /// Off until enable(); then each shard thread drives its own slot through

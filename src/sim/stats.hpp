@@ -64,7 +64,7 @@ struct NodeStats {
   };
   /// The full counter schema. add() and every serializer iterate this table,
   /// so adding a field here is the single step that propagates it to the
-  /// aggregates, the metrics registry and the machine-readable reports.
+  /// aggregates, Cluster::snapshot() and the machine-readable reports.
   [[nodiscard]] static const std::vector<Field>& fields();
 };
 

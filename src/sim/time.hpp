@@ -63,7 +63,6 @@ constexpr SimDuration transmission_time(std::uint64_t bits, std::uint64_t bits_p
   return whole * kSecond + (rem * kSecond + bits_per_sec - 1) / bits_per_sec;
 }
 
-constexpr double to_seconds(SimDuration d) { return static_cast<double>(d) / 1e12; }
 constexpr double to_micros(SimDuration d) { return static_cast<double>(d) / 1e6; }
 
 }  // namespace cni::sim

@@ -5,6 +5,7 @@
 
 #include "apps/runner.hpp"
 #include "cluster/cluster.hpp"
+#include "obs/options.hpp"
 
 namespace cni::cluster {
 namespace {
@@ -22,28 +23,31 @@ TEST(SimParams, Table1Dump) {
   EXPECT_NE(t.find("32 KB"), std::string::npos);
 }
 
-/// Sets CNI_SIM_SHARDS for one scope and restores the unset default.
-struct ShardsEnv {
-  explicit ShardsEnv(const char* value) {
-    EXPECT_EQ(setenv("CNI_SIM_SHARDS", value, 1), 0);
+/// Sets one environment variable for one scope and restores it unset.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    EXPECT_EQ(setenv(name, value, 1), 0);
   }
-  ShardsEnv(const ShardsEnv&) = delete;
-  ShardsEnv& operator=(const ShardsEnv&) = delete;
-  ~ShardsEnv() { EXPECT_EQ(unsetenv("CNI_SIM_SHARDS"), 0); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() { EXPECT_EQ(unsetenv(name_), 0); }
+
+ private:
+  const char* name_;
 };
 
 TEST(SimParams, ShardsEnvAcceptsCountsAndAuto) {
   EXPECT_EQ(default_sim_shards(), 1u) << "unset means one shard";
   {
-    const ShardsEnv env("4");
+    const ScopedEnv env("CNI_SIM_SHARDS", "4");
     EXPECT_EQ(default_sim_shards(), 4u);
   }
   {
-    const ShardsEnv env("4096");
+    const ScopedEnv env("CNI_SIM_SHARDS", "4096");
     EXPECT_EQ(default_sim_shards(), kMaxEnvShards);
   }
   {
-    const ShardsEnv env("auto");
+    const ScopedEnv env("CNI_SIM_SHARDS", "auto");
     EXPECT_EQ(default_sim_shards(), kAutoShards);
   }
 }
@@ -54,11 +58,89 @@ TEST(SimParams, ShardsEnvRejectsEverythingElse) {
   // values — none may silently fall back to some other K.
   for (const char* bad :
        {"4abc", "99999999999", "-1", "0", "4097", "", " 4", "+4", "AUTO"}) {
-    const ShardsEnv env(bad);
+    const ScopedEnv env("CNI_SIM_SHARDS", bad);
     EXPECT_EXIT((void)default_sim_shards(), ::testing::ExitedWithCode(2),
                 "CNI_SIM_SHARDS.*between 1 and 4096, or auto")
         << "value '" << bad << "'";
   }
+}
+
+TEST(SimParams, TraceEnvTakesOnlyZeroOrOne) {
+  {
+    const ScopedEnv env("CNI_TRACE", "0");
+    EXPECT_FALSE(obs::options_from_env().trace);
+  }
+  {
+    const ScopedEnv env("CNI_TRACE", "1");
+    EXPECT_TRUE(obs::options_from_env().trace);
+  }
+  // Near-misses such as "false" must exit, never pick a setting silently.
+  for (const char* bad : {"false", "true", "on", "2", "01", "", " 1"}) {
+    const ScopedEnv env("CNI_TRACE", bad);
+    EXPECT_EXIT((void)obs::options_from_env(), ::testing::ExitedWithCode(2),
+                "CNI_TRACE.*takes 0 or 1")
+        << "value '" << bad << "'";
+  }
+}
+
+TEST(SimParams, TraceCapacityEnvTakesOnlyA32BitCount) {
+  EXPECT_EQ(obs::options_from_env().trace_capacity, 4096u) << "unset keeps the default";
+  {
+    const ScopedEnv env("CNI_TRACE_CAPACITY", "4294967295");
+    EXPECT_EQ(obs::options_from_env().trace_capacity, 4294967295u);
+  }
+  for (const char* bad : {"abc", "0", "4294967296", "99999999999", "-1", "+4", " 4", "4k", ""}) {
+    const ScopedEnv env("CNI_TRACE_CAPACITY", bad);
+    EXPECT_EXIT((void)obs::options_from_env(), ::testing::ExitedWithCode(2),
+                "CNI_TRACE_CAPACITY.*between 1 and 4294967295")
+        << "value '" << bad << "'";
+  }
+}
+
+TEST(SimParams, CollectiveEnvTakesOnlyNicOrHost) {
+  {
+    const ScopedEnv env("CNI_COLLECTIVE", "nic");
+    EXPECT_EQ(default_collective(), CollectiveMode::kNic);
+  }
+  {
+    const ScopedEnv env("CNI_COLLECTIVE", "host");
+    EXPECT_EQ(default_collective(), CollectiveMode::kHost);
+  }
+  // A typo such as "nics" must exit, not run the host barrier silently.
+  for (const char* bad : {"nics", "NIC", "tree", "", "host "}) {
+    const ScopedEnv env("CNI_COLLECTIVE", bad);
+    EXPECT_EXIT((void)default_collective(), ::testing::ExitedWithCode(2),
+                "CNI_COLLECTIVE.*takes nic or host")
+        << "value '" << bad << "'";
+  }
+}
+
+TEST(Cluster, SnapshotCountersAreTheNodeStatsFieldsInOrder) {
+  // NodeStats::fields() is the one counter schema: each node's snapshot
+  // lists every field, in declaration order, with the value at snapshot
+  // time. That order keeps the report's counter and totals bytes stable.
+  Cluster cl(make_params(BoardKind::kCni, 2));
+  cl.stats().node(0).messages_sent = 3;
+  cl.stats().node(1).mcache_tx_hits = 7;
+  cl.stats().node(1).dma_bytes = 4096;
+
+  const obs::Snapshot snap = cl.snapshot();
+  const std::vector<sim::NodeStats::Field>& fields = sim::NodeStats::fields();
+  ASSERT_EQ(snap.nodes.size(), 2u);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    const std::vector<obs::CounterSnapshot>& counters = snap.nodes[i].counters;
+    ASSERT_EQ(counters.size(), fields.size());
+    EXPECT_EQ(counters.front().name, "cpu.compute_cycles");
+    EXPECT_EQ(counters.back().name, "dsm.barriers");
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      EXPECT_EQ(counters[f].name, fields[f].name);
+      EXPECT_EQ(counters[f].value, cl.stats().node(i).*fields[f].member) << fields[f].name;
+    }
+  }
+  EXPECT_EQ(snap.nodes[0].counter_or("nic.messages_sent", 0), 3u);
+  EXPECT_EQ(snap.nodes[1].counter_or("mcache.tx_hits", 0), 7u);
+  EXPECT_EQ(snap.nodes[1].counter_or("nic.dma_bytes", 0), 4096u);
+  EXPECT_EQ(snap.total_counter("nic.dma_bytes"), 4096u);
 }
 
 TEST(Cluster, BuildsRequestedBoardKind) {

@@ -1,5 +1,5 @@
-// Observability primitives: histogram math, metrics registry, emit macros,
-// and the bound-counter bridge to the legacy NodeStats accounts.
+// Observability primitives: histogram math, metrics registry and the emit
+// macros.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "sim/stats.hpp"
 
 namespace cni::obs {
 namespace {
@@ -68,30 +67,6 @@ TEST(Gauge, TracksValueAndHighWater) {
   EXPECT_EQ(g.max(), 8);
 }
 
-TEST(Metrics, OwnedCounterResolvesToStableHandle) {
-  Metrics m;
-  std::uint64_t* a = m.counter("x");
-  std::uint64_t* b = m.counter("y");
-  EXPECT_EQ(m.counter("x"), a);  // same name, same handle
-  *a += 2;
-  *b += 5;
-  std::vector<std::pair<std::string, std::uint64_t>> seen;
-  m.for_each_counter([&](const std::string& n, std::uint64_t v) { seen.emplace_back(n, v); });
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], (std::pair<std::string, std::uint64_t>{"x", 2}));
-  EXPECT_EQ(seen[1], (std::pair<std::string, std::uint64_t>{"y", 5}));
-}
-
-TEST(Metrics, BoundCounterIsALiveView) {
-  Metrics m;
-  std::uint64_t external = 0;
-  m.bind_counter("ext", &external);
-  external = 41;
-  std::uint64_t read = 0;
-  m.for_each_counter([&](const std::string&, std::uint64_t v) { read = v; });
-  EXPECT_EQ(read, 41u);  // no copy was taken at bind time
-}
-
 TEST(Metrics, HistogramAndGaugeHandlesAreStable) {
   Metrics m;
   Hist* h = m.histogram("lat");
@@ -129,9 +104,7 @@ TEST(NodeObs, RecordsAllThreeKinds) {
 }
 
 TEST(ObsMacros, NullHandlesAndDisabledTracingAreSafeNoOps) {
-  // Passes in both switch positions: with obs compiled in, the null/quiet
-  // handles gate every emit; under CNI_OBS_DISABLED the macros expand to
-  // nothing and the ring is trivially empty.
+  // Null handles and a node whose runtime switch is off gate every emit.
   NodeObs* none = nullptr;
   CNI_TRACE_INSTANT(none, 1, Component::kDsm, Event::kDsmFault, 0, 0);
   CNI_OBS_HIST(static_cast<Hist*>(nullptr), 5);
@@ -144,31 +117,6 @@ TEST(ObsMacros, NullHandlesAndDisabledTracingAreSafeNoOps) {
   CNI_TRACE_SPAN(q, 1, 2, Component::kDsm, Event::kDsmFault, 0, 0);
   CNI_TRACE_COUNTER(q, 1, Component::kDsm, Event::kDsmFault, 0);
   EXPECT_EQ(quiet.ring().recorded(), 0u);
-}
-
-TEST(RunObs, BindNodeStatsMirrorsTheLegacyAccountsExactly) {
-  Options opts;
-  RunObs run(2, opts);
-  sim::NodeStats st;
-  run.bind_node_stats(0, st);
-
-  st.messages_sent = 3;
-  st.mcache_tx_hits = 7;
-  st.dma_bytes = 4096;
-
-  // Every NodeStats field appears, and reads the live legacy value.
-  std::size_t entries = 0;
-  std::uint64_t messages = 0, hits = 0, dma = 0;
-  run.node(0).metrics().for_each_counter([&](const std::string& n, std::uint64_t v) {
-    ++entries;
-    if (n == "nic.messages_sent") messages = v;
-    if (n == "mcache.tx_hits") hits = v;
-    if (n == "nic.dma_bytes") dma = v;
-  });
-  EXPECT_EQ(entries, sim::NodeStats::fields().size());
-  EXPECT_EQ(messages, 3u);
-  EXPECT_EQ(hits, 7u);
-  EXPECT_EQ(dma, 4096u);
 }
 
 TEST(Taxonomy, NamesAreStableIdentifiers) {

@@ -63,9 +63,6 @@ obs::ReportPoint to_point(const apps::RunResult& r) {
   pt.label = "test";
   pt.config = {{"app", "jacobi"}};
   pt.values = {{"elapsed_ps", static_cast<double>(r.elapsed)}};
-  for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
-    pt.legacy.emplace_back(f.name, r.totals.*f.member);
-  }
   pt.snapshot = r.snapshot;
   return pt;
 }
@@ -76,9 +73,7 @@ TEST(ObsDeterminism, IdenticalRunsExportByteIdenticalJson) {
 
   ASSERT_TRUE(a.snapshot.traced);
   ASSERT_EQ(a.snapshot.nodes.size(), 2u);
-#if CNI_OBS_ENABLED
   EXPECT_GT(a.snapshot.nodes[0].trace_recorded, 0u);
-#endif
 
   const std::vector<obs::ReportPoint> pa{to_point(a)};
   const std::vector<obs::ReportPoint> pb{to_point(b)};
@@ -125,33 +120,48 @@ TEST(ObsDeterminism, TracingDoesNotPerturbTheSimulation) {
   EXPECT_TRUE(r_on.snapshot.traced);
 }
 
-TEST(ObsReport, ChromeTraceShapeAndMetricsTotalsMatchLegacy) {
+TEST(ObsReport, ChromeTraceShapeAndSnapshotTotalsMatchRunTotals) {
   const apps::RunResult r = traced_run(2);
   const std::vector<obs::ReportPoint> pts{to_point(r)};
 
   const std::string trace = obs::chrome_trace_json(pts);
   EXPECT_EQ(trace.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   EXPECT_NE(trace.find("\"ph\":\"M\""), std::string::npos);  // metadata events
-#if CNI_OBS_ENABLED
-  // Real events only exist when the probes are compiled in; under the
-  // CNI_OBS_DISABLED kill-switch build the rings stay empty and this test
-  // still verifies the (empty) export shape.
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);  // spans
   EXPECT_NE(trace.find("dsm.fault"), std::string::npos);
-#endif
 
-  // The snapshot's bound counters must agree with the legacy accounts the
-  // figures are computed from — same fields, same values.
+  // The snapshot's counters must sum to the run totals the figures are
+  // computed from — same fields, same values.
   for (const sim::NodeStats::Field& f : sim::NodeStats::fields()) {
     EXPECT_EQ(r.snapshot.total_counter(f.name), r.totals.*f.member) << f.name;
   }
 
   const std::string report = obs::run_report_json("t", {{"k", "v"}}, pts);
   EXPECT_NE(report.find("\"schema\":\"cni-run-report\""), std::string::npos);
-  EXPECT_NE(report.find("\"version\":2"), std::string::npos);
-  EXPECT_NE(report.find("\"legacy\""), std::string::npos);
+  EXPECT_NE(report.find("\"version\":3"), std::string::npos);
   EXPECT_NE(report.find("\"trace_truncated\":false"), std::string::npos);
   EXPECT_NE(report.find("\"critpath\":"), std::string::npos);
+}
+
+TEST(ObsReport, TraceCapacityFlagTakesOnlyA32BitCount) {
+  const obs::Options saved = obs::default_options();
+  {
+    char prog[] = "t";
+    char flag[] = "--trace-capacity=4294967295";
+    char* argv[] = {prog, flag};
+    const obs::Reporter rep(2, argv, "t");
+    EXPECT_EQ(obs::default_options().trace_capacity, 4294967295u);
+  }
+  obs::set_default_options(saved);
+  // Junk must not become some ring size, nor 2^32 be truncated to fit.
+  for (const char* bad : {"abc", "0", "4294967296", "-1", "+4", "4k", ""}) {
+    std::string flag = std::string("--trace-capacity=") + bad;
+    char prog[] = "t";
+    char* argv[] = {prog, flag.data()};
+    EXPECT_EXIT(obs::Reporter(2, argv, "t"), ::testing::ExitedWithCode(2),
+                "--trace-capacity=.*between 1 and 4294967295")
+        << "value '" << bad << "'";
+  }
 }
 
 /// One traced Jacobi run on `topo` with a fixed shard count. Four nodes so a
@@ -189,15 +199,11 @@ TEST_P(ObsTraceTopology, ExportsByteIdenticalAcrossK1AndK4) {
 
 TEST_P(ObsTraceTopology, CausalSpansSurviveTheTopology) {
   const std::string trace = obs::chrome_trace_json({to_point(traced_topo_run(GetParam(), 4))});
-#if CNI_OBS_ENABLED
   // The remote-fault chain's anchor stages must appear regardless of how
   // many switch stages or dimension hops sit between the endpoints.
   EXPECT_NE(trace.find("causal.tx"), std::string::npos);
   EXPECT_NE(trace.find("causal.fab_wire"), std::string::npos);
   EXPECT_NE(trace.find("causal.deliver"), std::string::npos);
-#else
-  EXPECT_EQ(trace.find("causal."), std::string::npos);
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTopologies, ObsTraceTopology,

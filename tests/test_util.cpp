@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "util/cli.hpp"
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
@@ -86,28 +85,6 @@ TEST(Table, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(100.0, 2), "100");
   EXPECT_EQ(format_double(0.054, 4), "0.054");
   EXPECT_EQ(format_double(13.31, 2), "13.31");
-}
-
-TEST(Cli, ParsesTypes) {
-  Cli cli("test");
-  cli.add_flag("verbose", "v", false);
-  cli.add_int("n", "count", 10);
-  cli.add_double("ratio", "r", 0.5);
-  cli.add_string("name", "s", "x");
-  const char* argv[] = {"prog", "--verbose", "--n=42", "--ratio", "1.25", "--name=abc"};
-  cli.parse(6, const_cast<char**>(argv));
-  EXPECT_TRUE(cli.flag("verbose"));
-  EXPECT_EQ(cli.get_int("n"), 42);
-  EXPECT_DOUBLE_EQ(cli.get_double("ratio"), 1.25);
-  EXPECT_EQ(cli.get_string("name"), "abc");
-}
-
-TEST(Cli, DefaultsHold) {
-  Cli cli("test");
-  cli.add_int("n", "count", 10);
-  const char* argv[] = {"prog"};
-  cli.parse(1, const_cast<char**>(argv));
-  EXPECT_EQ(cli.get_int("n"), 10);
 }
 
 TEST(U64FlatMap, InsertFindEraseBasics) {
