@@ -15,11 +15,9 @@
 //
 // Each point runs the sharded engine at K = 1 and K = 4 and records wall
 // clock, events/sec, the machine-independent event-parallelism bound, and
-// the per-shard-pair lookahead the topology exported (matrix min/max beside
-// the uniform single-bound floor) — the distance-aware slack is the whole
-// reason the torus points barrier less than the banyan ones. Simulated
-// elapsed cycles are CNI_CHECKed identical across K per point, extending
-// the byte-identity claim to every topology at every scale.
+// the topology's lookahead (the one epoch bound every pair of shards
+// shares). Simulated elapsed cycles are CNI_CHECKed identical across K per
+// point, extending the byte-identity claim to every topology at every scale.
 //
 // Wall numbers follow the BENCH_parsim honesty rule: on a host with fewer
 // cores than shards, wall_vs_k1 is null and cores_limited is true.
@@ -36,6 +34,7 @@
 
 #include "apps/runner.hpp"
 #include "atm/topology.hpp"
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "nic/wire.hpp"
 #include "sim/sharded.hpp"
@@ -91,12 +90,9 @@ struct ModeResult {
   cni::sim::EpochStats stats;
 };
 
-/// Off-diagonal range of the topology's exported lookahead matrix at K = 4,
-/// beside the uniform single-bound floor it improves on.
+/// The topology's epoch lookahead and the K = 4 plan's shard count.
 struct LookaheadSummary {
   double uniform_ns = 0;
-  double matrix_min_ns = 0;
-  double matrix_max_ns = 0;
   std::uint32_t shards = 0;
 };
 
@@ -126,23 +122,9 @@ ModeResult run_mode(TopologyKind kind, const Scenario& sc, std::uint32_t nodes,
   cluster::Cluster cl(point_params(kind, nodes, shards));
 
   if (lookahead != nullptr) {
-    const sim::ShardPlan plan = sim::ShardPlan::balanced(nodes, shards);
-    const sim::LookaheadMatrix m = cl.fabric().lookahead_matrix(plan);
-    sim::SimDuration lo = sim::LookaheadMatrix::kUnbounded;
-    sim::SimDuration hi = 0;
-    for (std::uint32_t r = 0; r < plan.shards; ++r) {
-      for (std::uint32_t c = 0; c < plan.shards; ++c) {
-        if (r == c) continue;
-        const sim::SimDuration e = m.at(r, c);
-        if (e < lo) lo = e;
-        if (e > hi) hi = e;
-      }
-    }
     lookahead->uniform_ns =
         static_cast<double>(cl.fabric().min_lookahead()) / sim::kNanosecond;
-    lookahead->matrix_min_ns = static_cast<double>(lo) / sim::kNanosecond;
-    lookahead->matrix_max_ns = static_cast<double>(hi) / sim::kNanosecond;
-    lookahead->shards = plan.shards;
+    lookahead->shards = sim::ShardPlan::balanced(nodes, shards).shards;
   }
 
   // Sink service: charge a small fixed cost, no reply. The benchmark load is
@@ -199,11 +181,8 @@ void print_json(const std::vector<Point>& points) {
     std::printf("      \"topology\": \"%s\", \"scenario\": \"%s\", "
                 "\"nodes\": %u, \"num_cpus\": %u,\n",
                 p.topology, p.scenario, p.nodes, hw);
-    std::printf("      \"lookahead\": {\"uniform_ns\": %.0f, "
-                "\"matrix_min_ns\": %.0f, \"matrix_max_ns\": %.0f, "
-                "\"shards\": %u},\n",
-                p.lookahead.uniform_ns, p.lookahead.matrix_min_ns,
-                p.lookahead.matrix_max_ns, p.lookahead.shards);
+    std::printf("      \"lookahead\": {\"uniform_ns\": %.0f, \"shards\": %u},\n",
+                p.lookahead.uniform_ns, p.lookahead.shards);
     std::printf("      \"modes\": {\n");
     const ModeResult& k1 = p.modes.front();
     for (std::size_t i = 0; i < p.modes.size(); ++i) {
@@ -237,9 +216,7 @@ void print_json(const std::vector<Point>& points) {
 }
 
 void print_table(const Point& p) {
-  std::printf("\n%s  (lookahead uniform %.0f ns, matrix %.0f..%.0f ns)\n",
-              p.name.c_str(), p.lookahead.uniform_ns, p.lookahead.matrix_min_ns,
-              p.lookahead.matrix_max_ns);
+  std::printf("\n%s  (lookahead %.0f ns)\n", p.name.c_str(), p.lookahead.uniform_ns);
   std::printf("%-6s %12s %16s %14s %10s %10s %18s\n", "mode", "wall_ms",
               "elapsed_cycles", "events/sec", "epochs", "barriers",
               "event_parallelism");
@@ -259,7 +236,7 @@ void print_table(const Point& p) {
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool fast = std::getenv("CNI_BENCH_FAST") != nullptr;
+  bool fast = cni::bench::fast_mode();
   std::uint32_t nodes_arg = 0;
   std::uint32_t rounds_arg = 0;
   for (int i = 1; i < argc; ++i) {

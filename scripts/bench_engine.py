@@ -20,8 +20,8 @@ runtime-off residue vs live metrics vs full tracing), the sharded-engine
 scaling points from micro_parsim (wall clock plus the machine-independent
 event-parallelism bound per shard count), and the fabric-topology scaling
 grid from micro_topology (banyan/Clos/torus at 256/1024/4096 nodes under
-incast, permutation and hot-spot traffic, with each topology's exported
-per-shard-pair lookahead range), and the collective scaling grid from
+incast, permutation and hot-spot traffic, with each topology's epoch
+lookahead), and the collective scaling grid from
 fig_barrier_scaling (barrier/reduce latency per episode for the NIC-resident
 combining tree vs the centralized baselines, all three fabrics).
 
@@ -75,14 +75,15 @@ def run(binary: str) -> dict:
 
 
 def sweep_jobs() -> int:
-    """Worker count the sweep runner would use — mirrors apps::parallel_indexed."""
+    """Worker count the sweep runner would use — mirrors apps::sweep_jobs,
+    which exits 2 on anything but a decimal in [1, 4096]."""
     env = os.environ.get("CNI_BENCH_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if env is None:
+        return os.cpu_count() or 1
+    if not (env.isascii() and env.isdecimal() and 1 <= int(env) <= 4096):
+        raise SystemExit(f"error: invalid CNI_BENCH_JOBS={env} "
+                         "(takes a worker count between 1 and 4096)")
+    return int(env)
 
 
 def env_context() -> dict:
@@ -310,22 +311,22 @@ def write_parsim() -> None:
     print(f"wrote {path}")
 
 
-TOPOLOGY_SCHEMA_VERSION = 1
+TOPOLOGY_SCHEMA_VERSION = 2
 
 TOPOLOGY_MODE_FIELDS = ("wall_ms", "elapsed_cycles", "events_total",
                         "events_per_sec", "epochs", "barriers",
                         "event_parallelism", "wall_vs_k1", "cores_limited")
-TOPOLOGY_LOOKAHEAD_FIELDS = ("uniform_ns", "matrix_min_ns", "matrix_max_ns",
-                             "shards")
+TOPOLOGY_LOOKAHEAD_FIELDS = ("uniform_ns", "shards")
 TOPOLOGIES = ("banyan", "clos", "torus")
 SCENARIOS = ("incast", "permutation", "hotspot")
 TOPOLOGY_NODE_COUNTS = (256, 1024, 4096)
 
 
 def validate_topology(report: dict) -> None:
-    """Shape contract for BENCH_topology.json (schema v1): the full
+    """Shape contract for BENCH_topology.json (schema v2): the full
     topology x scenario x node-count grid is present, every point carries
-    the lookahead block (uniform floor plus matrix off-diagonal range), each
+    the lookahead block (the one epoch bound, which must exceed the two
+    150 ns propagation legs every path pays, and the shard count), each
     mode has the parsim honesty fields (wall_vs_k1 null iff cores_limited),
     and K=1/K=4 agree on simulated elapsed cycles."""
     points = report["points"]
@@ -340,10 +341,9 @@ def validate_topology(report: dict) -> None:
         for field in TOPOLOGY_LOOKAHEAD_FIELDS:
             if field not in point.get("lookahead", {}):
                 raise ValueError(f"{where}: lookahead missing {field}")
-        la = point["lookahead"]
-        if la["matrix_min_ns"] < la["uniform_ns"] - 2 * 150:
+        if point["lookahead"]["uniform_ns"] <= 2 * 150:
             raise ValueError(
-                f"{where}: matrix floor below the topology's own bound")
+                f"{where}: lookahead does not cover the two propagation legs")
         cycles = set()
         for mname, mode in point["modes"].items():
             mwhere = f"{where}.modes.{mname}"

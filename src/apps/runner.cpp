@@ -1,22 +1,35 @@
 #include "apps/runner.hpp"
 
 #include <atomic>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace cni::apps {
 
 std::size_t sweep_jobs() {
-  if (const char* env = std::getenv("CNI_BENCH_JOBS"); env != nullptr) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return static_cast<std::size_t>(v);
+  const char* env = std::getenv("CNI_BENCH_JOBS");
+  if (env == nullptr) {
+    const unsigned hc = std::thread::hardware_concurrency();
+    return hc == 0 ? 1 : hc;
   }
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : hc;
+  const std::string_view v(env);
+  std::uint32_t jobs = 0;
+  const char* last = v.data() + v.size();
+  const auto [end, ec] = std::from_chars(v.data(), last, jobs);
+  if (ec != std::errc() || end != last || jobs < 1 || jobs > kMaxSweepJobs) {
+    std::fprintf(stderr,
+                 "error: invalid CNI_BENCH_JOBS=%s (takes a worker count between 1 and "
+                 "%u)\n",
+                 env, kMaxSweepJobs);
+    std::exit(2);
+  }
+  return jobs;
 }
 
 void parallel_indexed(std::size_t n, util::FunctionRef<void(std::size_t)> fn) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "cluster/cluster.hpp"
 #include "dsm/context.hpp"
@@ -15,8 +16,13 @@
 
 namespace cni::apps {
 
+/// Largest worker count CNI_BENCH_JOBS accepts.
+inline constexpr std::uint32_t kMaxSweepJobs = 4096;
+
 /// Worker count for running independent simulation points concurrently:
-/// CNI_BENCH_JOBS if set (>= 1), else std::thread::hardware_concurrency().
+/// CNI_BENCH_JOBS if set — a decimal in [1, kMaxSweepJobs] — else
+/// std::thread::hardware_concurrency(). Anything else exit(2)s with a
+/// message naming the accepted values.
 [[nodiscard]] std::size_t sweep_jobs();
 
 /// Runs fn(0), ..., fn(n-1) across a pool of sweep_jobs() threads. Each index

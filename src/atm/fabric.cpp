@@ -77,23 +77,6 @@ std::uint64_t Fabric::cells_sent() const {
   return total;
 }
 
-sim::LookaheadMatrix Fabric::lookahead_matrix(const sim::ShardPlan& plan) const {
-  sim::LookaheadMatrix m;
-  m.shards = plan.shards;
-  m.entries.assign(static_cast<std::size_t>(plan.shards) * plan.shards, 0);
-  // The topology supplies the zero-load traversal floor between each pair of
-  // blocks; every path additionally pays the uplink propagation leg before
-  // the fabric and the downlink one after, so both legs join the bound.
-  topology_->fill_block_latency(plan, m);
-  for (std::uint32_t r = 0; r < plan.shards; ++r) {
-    for (std::uint32_t c = 0; c < plan.shards; ++c) {
-      sim::SimDuration& e = m.entries[static_cast<std::size_t>(r) * plan.shards + c];
-      e = r == c ? sim::LookaheadMatrix::kUnbounded : e + 2 * params_.propagation;
-    }
-  }
-  return m;
-}
-
 void Fabric::route_and_schedule(sim::SimTime head, sim::SimDuration burst, Frame frame,
                                 std::uint32_t lane) {
   const NodeId dst = frame.dst;

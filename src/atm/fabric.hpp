@@ -113,15 +113,6 @@ class Fabric {
     return topology_->min_cross_latency() + params_.propagation;
   }
 
-  /// Per-shard-pair lookahead for `plan` (sim::next_epoch_end's matrix):
-  /// the topology's minimum zero-load traversal between each pair of blocks
-  /// plus the two propagation legs. The single-stage banyan yields uniform
-  /// rows equal to min_lookahead(); Clos and torus yield genuinely
-  /// distance-dependent rows — torus neighbor slabs sit one hop apart while
-  /// far slabs earn many hops of extra slack — and the epoch scheduler
-  /// exploits them with no further changes.
-  [[nodiscard]] sim::LookaheadMatrix lookahead_matrix(const sim::ShardPlan& plan) const;
-
   /// Epoch-barrier drain. Single-threaded (barriers order it against all
   /// shard execution): flushes every outbox *and* every shard-local queue
   /// into the pending set with one size-reserved sorted merge (no

@@ -81,32 +81,6 @@ sim::SimTime CreditLink::traverse(sim::SimTime head, sim::SimDuration burst,
   return start + latency_;
 }
 
-// ---- Topology (base) ----
-
-void Topology::fill_block_latency(const sim::ShardPlan& plan,
-                                  sim::LookaheadMatrix& matrix) const {
-  // Blocks are contiguous id ranges (ShardPlan::shard_of). Brute force over
-  // pairs, bailing out at the global floor — neighbor blocks hit it almost
-  // immediately, so the quadratic worst case only bites for far pairs.
-  const sim::SimDuration floor = min_cross_latency();
-  std::vector<NodeId> start(plan.shards + 1, 0);
-  for (std::uint32_t s = 0; s < plan.shards; ++s) start[s + 1] = start[s] + plan.count(s);
-  for (std::uint32_t r = 0; r < plan.shards; ++r) {
-    for (std::uint32_t c = r + 1; c < plan.shards; ++c) {
-      sim::SimDuration best = sim::LookaheadMatrix::kUnbounded;
-      for (NodeId a = start[r]; a < start[r + 1] && best > floor; ++a) {
-        for (NodeId b = start[c]; b < start[c + 1]; ++b) {
-          const sim::SimDuration d = min_latency(a, b);
-          if (d < best) best = d;
-          if (best <= floor) break;
-        }
-      }
-      matrix.entries[static_cast<std::size_t>(r) * plan.shards + c] = best;
-      matrix.entries[static_cast<std::size_t>(c) * plan.shards + r] = best;
-    }
-  }
-}
-
 // ---- SingleStageTopology ----
 
 SingleStageTopology::SingleStageTopology(std::uint32_t ports,
@@ -140,18 +114,6 @@ sim::SimDuration SingleStageTopology::min_latency(NodeId src, NodeId dst) const 
 
 sim::SimDuration SingleStageTopology::min_cross_latency() const {
   return switch_.latency();
-}
-
-void SingleStageTopology::fill_block_latency(const sim::ShardPlan& plan,
-                                             sim::LookaheadMatrix& matrix) const {
-  // Every port is one traversal of the same shared pipeline: uniform rows.
-  for (std::uint32_t r = 0; r < plan.shards; ++r) {
-    for (std::uint32_t c = 0; c < plan.shards; ++c) {
-      if (r != c) {
-        matrix.entries[static_cast<std::size_t>(r) * plan.shards + c] = switch_.latency();
-      }
-    }
-  }
 }
 
 bool SingleStageTopology::concurrent_local_routing(const sim::ShardPlan& plan) const {
@@ -277,31 +239,6 @@ sim::SimDuration ClosTopology::min_latency(NodeId src, NodeId dst) const {
 sim::SimDuration ClosTopology::min_cross_latency() const {
   // Two distinct hosts always share leaf 0 (down_ >= 2): one block traversal.
   return switch_latency_;
-}
-
-void ClosTopology::fill_block_latency(const sim::ShardPlan& plan,
-                                      sim::LookaheadMatrix& matrix) const {
-  // Blocks are contiguous id ranges, so the minimum ancestor tier between
-  // two blocks is an interval-overlap test per height: some a in r and b in
-  // c share their tier-(t+1) prefix iff the blocks' prefix ranges intersect.
-  std::vector<NodeId> start(plan.shards + 1, 0);
-  for (std::uint32_t s = 0; s < plan.shards; ++s) start[s + 1] = start[s] + plan.count(s);
-  for (std::uint32_t r = 0; r < plan.shards; ++r) {
-    for (std::uint32_t c = r + 1; c < plan.shards; ++c) {
-      std::uint32_t h = tiers_ - 1;
-      for (std::uint32_t t = 0; t + 1 < tiers_; ++t) {
-        const std::uint32_t shift = (t + 1) * down_bits_;
-        if ((start[r] >> shift) <= ((start[c + 1] - 1) >> shift) &&
-            (start[c] >> shift) <= ((start[r + 1] - 1) >> shift)) {
-          h = t;
-          break;
-        }
-      }
-      const sim::SimDuration d = (2 * h + 1) * switch_latency_ + 2 * h * propagation_;
-      matrix.entries[static_cast<std::size_t>(r) * plan.shards + c] = d;
-      matrix.entries[static_cast<std::size_t>(c) * plan.shards + r] = d;
-    }
-  }
 }
 
 bool ClosTopology::concurrent_local_routing(const sim::ShardPlan& plan) const {

@@ -5,8 +5,10 @@
 //
 //   * route()        — when does a burst's head emerge at the destination
 //                      port, given contention with earlier bursts?
-//   * min_latency()  — the zero-load lower bound for a src/dst pair, the
-//                      ingredient of the per-shard-pair lookahead matrix;
+//   * min_latency()  — the zero-load lower bound for a src/dst pair (the
+//                      collective tree sizes its fan-in with it), and
+//                      min_cross_latency(), its minimum over all pairs: the
+//                      floor of the epoch scheduler's one lookahead;
 //   * concurrent_local_routing() — may shards route their own intra-block
 //                      transfers concurrently under this plan (disjoint
 //                      resources), or must everything cross a barrier?
@@ -129,21 +131,14 @@ class Topology {
                              sim::SimDuration burst, std::uint32_t lane,
                              RouteTrace* rt = nullptr) = 0;
 
-  /// Zero-load head latency src -> dst (no contention, no downlink). The
-  /// soundness floor for every lookahead derived from this pair.
+  /// Zero-load head latency src -> dst (no contention, no downlink):
+  /// route() never returns earlier than head + min_latency(src, dst).
   [[nodiscard]] virtual sim::SimDuration min_latency(NodeId src, NodeId dst) const = 0;
 
   /// min_latency minimized over all distinct pairs: the global cross-node
-  /// traversal floor (Fabric::min_lookahead builds on it).
+  /// traversal floor. Fabric::min_lookahead builds the epoch scheduler's one
+  /// lookahead on it, so route() must never beat it for any pair.
   [[nodiscard]] virtual sim::SimDuration min_cross_latency() const = 0;
-
-  /// Writes, for every off-diagonal (r, c), the minimum of min_latency(a, b)
-  /// over a in shard r's block and b in shard c's block. The base version
-  /// brute-forces pairs (early exit at min_cross_latency); topologies with
-  /// structure override it with closed forms. Diagonal entries are the
-  /// caller's business.
-  virtual void fill_block_latency(const sim::ShardPlan& plan,
-                                  sim::LookaheadMatrix& matrix) const;
 
   /// True when, under `plan`, intra-block routes of different blocks touch
   /// disjoint contention resources — the license for per-shard local drains
@@ -177,8 +172,6 @@ class SingleStageTopology final : public Topology {
                      std::uint32_t lane, RouteTrace* rt = nullptr) override;
   [[nodiscard]] sim::SimDuration min_latency(NodeId src, NodeId dst) const override;
   [[nodiscard]] sim::SimDuration min_cross_latency() const override;
-  void fill_block_latency(const sim::ShardPlan& plan,
-                          sim::LookaheadMatrix& matrix) const override;
   [[nodiscard]] bool concurrent_local_routing(const sim::ShardPlan& plan) const override;
   void set_lanes(std::uint32_t n) override { switch_.set_lanes(n); }
   [[nodiscard]] sim::SimDuration contention_time() const override {
@@ -209,8 +202,6 @@ class ClosTopology final : public Topology {
                      std::uint32_t lane, RouteTrace* rt = nullptr) override;
   [[nodiscard]] sim::SimDuration min_latency(NodeId src, NodeId dst) const override;
   [[nodiscard]] sim::SimDuration min_cross_latency() const override;
-  void fill_block_latency(const sim::ShardPlan& plan,
-                          sim::LookaheadMatrix& matrix) const override;
   [[nodiscard]] bool concurrent_local_routing(const sim::ShardPlan& plan) const override;
   void set_lanes(std::uint32_t n) override;
   [[nodiscard]] sim::SimDuration contention_time() const override;

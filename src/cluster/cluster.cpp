@@ -120,7 +120,6 @@ sim::SimTime Cluster::run(util::FunctionRef<void(std::size_t, sim::SimThread&)> 
   ep.lookahead = fabric_.min_lookahead();
   ep.drain_horizon = fabric_.drain_horizon();
   ep.pending_bound = fabric_.pending_bound();
-  const sim::LookaheadMatrix matrix = fabric_.lookahead_matrix(plan_);
   // Named lambdas: FusedHooks borrows them for the whole run_epochs call.
   auto local_drain = [this](std::uint32_t s, sim::SimTime limit) {
     return fabric_.local_drain(s, limit);
@@ -128,7 +127,7 @@ sim::SimTime Cluster::run(util::FunctionRef<void(std::size_t, sim::SimThread&)> 
   auto local_min = [this](std::uint32_t s) { return fabric_.local_pending_min(s); };
   const sim::FusedHooks hooks{local_drain, local_min, &fusion_ledger_};
   if (shard_prof_ != nullptr) shard_prof_->enable(plan_.shards);
-  sim::run_epochs(raw(shard_engines_), ep, &matrix, hooks,
+  sim::run_epochs(raw(shard_engines_), ep, hooks,
                   [this](sim::SimTime limit) { return fabric_.drain(limit); },
                   &epoch_stats_, shard_prof_);
   if (shard_prof_ != nullptr) shard_prof_->finish();

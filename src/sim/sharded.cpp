@@ -43,18 +43,6 @@ bool ShardPlan::aligned() const {
   return nodes > 0 && nodes % shards == 0 && util::is_pow2(nodes / shards);
 }
 
-SimTime next_epoch_end(std::span<const SimTime> t_next, const LookaheadMatrix& la,
-                       SimTime pending_min, const EpochParams& p) {
-  CNI_DCHECK(t_next.size() == la.shards);
-  SimTime best = sat_add(pending_min, p.pending_bound);
-  for (std::uint32_t r = 0; r < la.shards; ++r) {
-    if (t_next[r] == kNever) continue;  // no pending events: cannot emit traffic
-    const SimTime bound = sat_add(t_next[r], la.out_bound(r));
-    best = bound < best ? bound : best;
-  }
-  return best;
-}
-
 namespace {
 
 /// Logger time hook for worker threads: stamps with the shard's clock.
@@ -489,9 +477,8 @@ void run_epochs_inline(Engine& engine, const EpochParams& params, const FusedHoo
 }  // namespace
 
 void run_epochs(std::span<Engine* const> engines, const EpochParams& params,
-                const LookaheadMatrix* matrix, const FusedHooks& hooks,
-                util::FunctionRef<SimTime(SimTime)> drain, EpochStats* stats,
-                ShardProfiler* prof) {
+                const FusedHooks& hooks, util::FunctionRef<SimTime(SimTime)> drain,
+                EpochStats* stats, ShardProfiler* prof) {
   CNI_CHECK_MSG(!engines.empty(), "run_epochs needs at least one shard");
   CNI_CHECK_MSG(params.lookahead > 0 && params.drain_horizon > 0 && params.pending_bound > 0,
                 "epoch margins must be positive for the scheduler to advance");
@@ -501,16 +488,15 @@ void run_epochs(std::span<Engine* const> engines, const EpochParams& params,
     return;
   }
   EpochCrew crew(engines, hooks, params, stats, prof);
-  std::vector<SimTime> t_next(engines.size(), kNever);
   SimTime epoch_end = 0;
   for (;;) {
     if (prof != nullptr) prof->transition(0, ShardPhase::kDrain);
     const SimTime pending_min = drain(sat_add(epoch_end, params.drain_horizon));
     if (prof != nullptr) prof->transition(0, ShardPhase::kIdle);
     SimTime t_min = kNever;
-    for (std::size_t s = 0; s < engines.size(); ++s) {
-      t_next[s] = engines[s]->next_time();
-      t_min = t_next[s] < t_min ? t_next[s] : t_min;
+    for (Engine* e : engines) {
+      const SimTime t = e->next_time();
+      t_min = t < t_min ? t : t_min;
     }
     if (t_min == kNever && pending_min == kNever) return;
     if (hooks.ledger != nullptr && pending_min == kNever) {
@@ -525,9 +511,7 @@ void run_epochs(std::span<Engine* const> engines, const EpochParams& params,
       }
       continue;
     }
-    const SimTime next = matrix != nullptr
-                             ? next_epoch_end(t_next, *matrix, pending_min, params)
-                             : next_epoch_end(t_min, pending_min, params);
+    const SimTime next = next_epoch_end(t_min, pending_min, params);
     CNI_CHECK_MSG(next > epoch_end, "epoch scheduler failed to advance");
     if (!crew.run_epoch(next)) break;
     epoch_end = next;

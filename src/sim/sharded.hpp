@@ -8,12 +8,11 @@
 // [E, E + L) without hearing from its peers — Chandy–Misra conservatism with
 // a lookahead window instead of per-link null messages.
 //
-// Three mechanisms close the gap between event-parallelism and wall-clock
-// speedup (DESIGN.md §12):
+// One bound sizes every window: L holds for every pair of nodes, and no
+// per-shard bound may exceed it, because same-shard sends buffer until a
+// drain just like cross-shard ones. Two mechanisms close the gap between
+// event-parallelism and wall-clock speedup (DESIGN.md §12):
 //
-//  * Per-pair lookahead (LookaheadMatrix): the fabric exports how soon an
-//    event on shard r can reach shard c, and the epoch bound takes the
-//    minimum only over shards that actually hold pending events.
 //  * Epoch fusion (FusionLedger): while no transfer needs the global merge,
 //    shards free-run through fixed-width sub-windows synchronized by padded
 //    per-shard progress words — no barrier at all. Intra-shard traffic is
@@ -38,7 +37,6 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
@@ -81,46 +79,16 @@ struct ShardPlan {
 /// Epoch geometry, derived from the interconnect timing (atm::Fabric exports
 /// these; see Fabric::min_lookahead).
 struct EpochParams {
-  /// L: minimum latency from a send event to any cross-shard effect. Also
-  /// the fused-epoch sub-window width W (any W <= L is sound; W = L maximizes
-  /// the work per progress-word handshake).
+  /// L: minimum latency from a send event to its effect on any other node,
+  /// same shard or not (a normal epoch buffers every send until its drain).
+  /// Also the fused-epoch sub-window width W (any W <= L is sound; W = L
+  /// maximizes the work per progress-word handshake).
   SimDuration lookahead = 0;
   /// A transfer buffered with head-at-switch time H is *final* — no later
   /// send can precede it — once every shard passed H - drain_horizon.
   SimDuration drain_horizon = 0;
   /// A buffered head at H cannot deliver before H + pending_bound.
   SimDuration pending_bound = 0;
-};
-
-/// Per-shard-pair lookahead bounds: entry (r, c) is how soon an event on
-/// shard r can affect shard c. For the single-stage banyan every cross pair
-/// costs the same (switch pipeline + two propagation legs) so the matrix is
-/// uniform; the Clos and torus fabrics export distance-dependent rows, whose
-/// distant pairs earn genuinely more slack.
-/// Diagonal entries are kUnbounded: intra-shard causality is the engine's own
-/// (time, seq) order and never constrains the epoch bound.
-struct LookaheadMatrix {
-  /// Diagonal sentinel; also what out_bound returns for a 1-shard matrix.
-  static constexpr SimDuration kUnbounded = ~0ull;
-
-  std::uint32_t shards = 1;
-  std::vector<SimDuration> entries;  ///< shards x shards, row-major
-
-  [[nodiscard]] SimDuration at(std::uint32_t r, std::uint32_t c) const {
-    return entries[static_cast<std::size_t>(r) * shards + c];
-  }
-
-  /// Min over destinations c != r: how long shard r's next event stays
-  /// invisible to every peer.
-  [[nodiscard]] SimDuration out_bound(std::uint32_t r) const {
-    SimDuration best = kUnbounded;
-    for (std::uint32_t c = 0; c < shards; ++c) {
-      if (c == r) continue;
-      const SimDuration d = at(r, c);
-      best = d < best ? d : best;
-    }
-    return best;
-  }
 };
 
 /// Deterministic run statistics (no wall clocks: every count is a property
@@ -156,15 +124,6 @@ struct EpochStats {
   const SimTime by_pending = sat_add(pending_min, p.pending_bound);
   return by_events < by_pending ? by_events : by_pending;
 }
-
-/// Matrix-aware epoch bound: the minimum over shards that actually hold
-/// pending events of (next event time + that shard's outgoing lookahead),
-/// still capped by the buffered-transfer bound. With a uniform matrix this
-/// equals the global-lookahead bound exactly; with a distance-dependent one,
-/// idle or far-away shards stop shrinking everyone's window.
-[[nodiscard]] SimTime next_epoch_end(std::span<const SimTime> t_next,
-                                     const LookaheadMatrix& la, SimTime pending_min,
-                                     const EpochParams& p);
 
 /// Shared ledger coordinating one *fused* epoch. Shards run fixed-width
 /// sub-windows [base + jW, base + (j+1)W), synchronizing only through padded
@@ -275,9 +234,8 @@ struct FusedHooks {
 /// below the limit into the destination engines, in canonical order, then
 /// return the earliest remaining head (kNever when none).
 ///
-/// `matrix` (optional) supplies per-pair lookahead for the epoch bound;
-/// null falls back to the global params.lookahead. `hooks.ledger` non-null
-/// enables epoch fusion.
+/// Every normal epoch ends at next_epoch_end(t_min, pending_min, params).
+/// `hooks.ledger` non-null enables epoch fusion.
 ///
 /// One shard runs inline on the calling thread; shards 1..K-1 run on worker
 /// threads that live for the whole call. Exceptions thrown inside a shard
@@ -288,8 +246,7 @@ struct FusedHooks {
 /// phase transitions at epoch and sub-window boundaries only — never inside
 /// the event loop. Null (the default) costs nothing.
 void run_epochs(std::span<Engine* const> engines, const EpochParams& params,
-                const LookaheadMatrix* matrix, const FusedHooks& hooks,
-                util::FunctionRef<SimTime(SimTime)> drain, EpochStats* stats = nullptr,
-                ShardProfiler* prof = nullptr);
+                const FusedHooks& hooks, util::FunctionRef<SimTime(SimTime)> drain,
+                EpochStats* stats = nullptr, ShardProfiler* prof = nullptr);
 
 }  // namespace cni::sim

@@ -115,6 +115,32 @@ TEST(SimParams, CollectiveEnvTakesOnlyNicOrHost) {
   }
 }
 
+TEST(SweepJobs, BenchJobsEnvAcceptsWorkerCounts) {
+  // Only the parse runs here: sweep_jobs() returns the count, no pool starts.
+  {
+    const ScopedEnv env("CNI_BENCH_JOBS", "1");
+    EXPECT_EQ(apps::sweep_jobs(), 1u);
+  }
+  {
+    const ScopedEnv env("CNI_BENCH_JOBS", "4096");
+    EXPECT_EQ(apps::sweep_jobs(), apps::kMaxSweepJobs);
+  }
+  EXPECT_GE(apps::sweep_jobs(), 1u) << "unset means the host's core count";
+}
+
+TEST(SweepJobs, BenchJobsEnvRejectsEverythingElse) {
+  // Trailing junk, zero, negatives, overflow, out-of-range and empty values
+  // all exit(2) naming the accepted values — none may silently run some
+  // other number of workers.
+  for (const char* bad :
+       {"4abc", "99999999999", "-1", "0", "4097", "", " 4", "+4", "all"}) {
+    const ScopedEnv env("CNI_BENCH_JOBS", bad);
+    EXPECT_EXIT((void)apps::sweep_jobs(), ::testing::ExitedWithCode(2),
+                "CNI_BENCH_JOBS.*between 1 and 4096")
+        << "value '" << bad << "'";
+  }
+}
+
 TEST(Cluster, SnapshotCountersAreTheNodeStatsFieldsInOrder) {
   // NodeStats::fields() is the one counter schema: each node's snapshot
   // lists every field, in declaration order, with the value at snapshot

@@ -90,65 +90,10 @@ TEST(EpochMath, NextEpochEndTakesTheTighterBound) {
   EXPECT_EQ(sim::next_epoch_end(1000, 5000, p), 1800u);
   // All-idle engines with a pending transfer still make progress.
   EXPECT_EQ(sim::next_epoch_end(sim::kNever, 900, p), 1550u);
-}
-
-/// Uniform all-pairs matrix with `l` everywhere off the diagonal — the shape
-/// atm::Fabric exports for the single-stage banyan.
-sim::LookaheadMatrix uniform_matrix(std::uint32_t shards, sim::SimDuration l) {
-  sim::LookaheadMatrix m;
-  m.shards = shards;
-  m.entries.assign(static_cast<std::size_t>(shards) * shards, l);
-  for (std::uint32_t r = 0; r < shards; ++r) {
-    m.entries[static_cast<std::size_t>(r) * shards + r] =
-        sim::LookaheadMatrix::kUnbounded;
-  }
-  return m;
-}
-
-sim::EpochParams fabric_epoch_params() {
-  sim::EpochParams p;
-  p.lookahead = 800;
-  p.drain_horizon = 150;
-  p.pending_bound = 650;
-  return p;
-}
-
-TEST(EpochMath, MatrixBoundMatchesGlobalForUniformMatrix) {
-  const sim::EpochParams p = fabric_epoch_params();
-  const sim::LookaheadMatrix m = uniform_matrix(3, p.lookahead);
-  const sim::SimTime t_next[] = {1200, 1000, 4000};
-  EXPECT_EQ(sim::next_epoch_end(t_next, m, sim::kNever, p),
-            sim::next_epoch_end(1000, sim::kNever, p));
-  EXPECT_EQ(sim::next_epoch_end(t_next, m, 900, p),
-            sim::next_epoch_end(1000, 900, p));
-}
-
-TEST(EpochMath, MatrixBoundSkipsIdleShardsAndSaturatesAtNever) {
-  const sim::EpochParams p = fabric_epoch_params();
-  const sim::LookaheadMatrix m = uniform_matrix(2, p.lookahead);
-  // All shards idle, one buffered transfer: only the pending bound binds.
-  const sim::SimTime idle[] = {sim::kNever, sim::kNever};
-  EXPECT_EQ(sim::next_epoch_end(idle, m, 900, p), 1550u);
   // Nothing anywhere: the epoch loop is about to terminate.
-  EXPECT_EQ(sim::next_epoch_end(idle, m, sim::kNever, p), sim::kNever);
-  // An idle shard stays out of the minimum entirely.
-  const sim::SimTime one_busy[] = {1000, sim::kNever};
-  EXPECT_EQ(sim::next_epoch_end(one_busy, m, sim::kNever, p), 1800u);
+  EXPECT_EQ(sim::next_epoch_end(sim::kNever, sim::kNever, p), sim::kNever);
   // Event times near kNever saturate instead of wrapping.
-  const sim::SimTime huge[] = {sim::kNever - 3, sim::kNever};
-  EXPECT_EQ(sim::next_epoch_end(huge, m, sim::kNever, p), sim::kNever);
-}
-
-TEST(EpochMath, MatrixBoundUsesPerShardOutgoingLookahead) {
-  const sim::EpochParams p = fabric_epoch_params();
-  // Shard 1 is "far": whatever it emits takes 5000 to land anywhere, so its
-  // imminent event must not shrink the window below shard 0's own bound.
-  sim::LookaheadMatrix m = uniform_matrix(2, p.lookahead);
-  m.entries[1 * 2 + 0] = 5000;
-  const sim::SimTime t_next[] = {2000, 1000};
-  EXPECT_EQ(m.out_bound(0), 800u);
-  EXPECT_EQ(m.out_bound(1), 5000u);
-  EXPECT_EQ(sim::next_epoch_end(t_next, m, sim::kNever, p), 2800u);
+  EXPECT_EQ(sim::next_epoch_end(sim::kNever - 3, sim::kNever, p), sim::kNever);
 }
 
 TEST(FusionLedger, StopWindowIsOnePastEarliestRecordedSend) {
@@ -194,37 +139,6 @@ TEST(FusionLedger, StopWindowIsInvariantUnderEverySendInterleaving) {
     ++perms;
   } while (std::next_permutation(order.begin(), order.end()));
   EXPECT_EQ(perms, 720u);  // 6! index orders (ties run twice; still cheap)
-}
-
-TEST(LookaheadMatrix, FabricExportIsSymmetricBoundedWithUnboundedDiagonal) {
-  sim::Engine eng;
-  atm::FabricParams fp;
-  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(16, 1), {&eng});
-  for (const std::uint32_t shards : {1u, 2u, 3u, 4u, 8u}) {
-    const sim::ShardPlan plan = sim::ShardPlan::balanced(16, shards);
-    const sim::LookaheadMatrix m = fabric.lookahead_matrix(plan);
-    ASSERT_EQ(m.shards, plan.shards);
-    ASSERT_EQ(m.entries.size(),
-              static_cast<std::size_t>(plan.shards) * plan.shards);
-    for (std::uint32_t r = 0; r < m.shards; ++r) {
-      for (std::uint32_t c = 0; c < m.shards; ++c) {
-        if (r == c) {
-          EXPECT_EQ(m.at(r, c), sim::LookaheadMatrix::kUnbounded)
-              << "intra-shard causality never bounds the epoch";
-        } else {
-          EXPECT_GT(m.at(r, c), 0u);
-          EXPECT_LE(m.at(r, c), fabric.min_lookahead())
-              << "no pair may claim more slack than the global bound";
-          EXPECT_EQ(m.at(r, c), m.at(c, r)) << "pair lookahead is symmetric";
-        }
-      }
-      if (m.shards > 1) {
-        EXPECT_LE(m.out_bound(r), fabric.min_lookahead());
-      } else {
-        EXPECT_EQ(m.out_bound(r), sim::LookaheadMatrix::kUnbounded);
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -481,72 +395,96 @@ TEST(ParsimCluster, EpochStatsAreConsistent) {
   EXPECT_EQ(apps::run_jacobi(params, config).parsim.barriers, 0u);
 }
 
-/// A synthetic 8-node workload on four shard engines, driven straight
-/// through sim::run_epochs: every node computes in 10 us steps, sends each
-/// step to its shard partner (local traffic) and every fifth step to a node
-/// two shards away, which answers. `fused` selects the cluster's schedule
-/// (fusion ledger + per-pair lookahead) or the plain epoch sequence
-/// run_epochs falls back to without them.
+/// Shard engines and a fabric driven straight through sim::run_epochs: with
+/// `fuse` set, exactly as Cluster::run drives them (fusion ledger on),
+/// otherwise as the plain drain/window sequence run_epochs falls back to
+/// without a ledger. Every delivery is logged at its node as "t src vci".
+struct EpochHarness {
+  EpochHarness(const atm::FabricParams& fp, std::uint32_t nodes, std::uint32_t shards,
+               bool fuse)
+      : plan(sim::ShardPlan::balanced(nodes, shards)), fused(fuse), logs(nodes) {
+    for (std::uint32_t s = 0; s < plan.shards; ++s) {
+      owned.push_back(std::make_unique<sim::Engine>());
+      engines.push_back(owned.back().get());
+    }
+    fabric = std::make_unique<atm::Fabric>(fp, plan, engines, fuse ? &ledger : nullptr);
+    for (atm::NodeId n = 0; n < nodes; ++n) {
+      fabric->attach(n, [this, n](atm::Frame f) {
+        log(n, std::to_string(f.src) + ' ' + std::to_string(f.vci));
+        if (on_delivery) on_delivery(n, f);
+      });
+    }
+  }
+
+  // The delivery hooks capture `this`.
+  EpochHarness(const EpochHarness&) = delete;
+  EpochHarness& operator=(const EpochHarness&) = delete;
+
+  sim::Engine& engine_of(atm::NodeId n) { return *engines[plan.shard_of(n)]; }
+
+  void log(atm::NodeId n, const std::string& what) {
+    logs[n].push_back(std::to_string(engine_of(n).now()) + ' ' + what);
+  }
+
+  void send(atm::NodeId src, atm::NodeId dst, std::uint32_t vci, std::size_t bytes) {
+    fabric->send(engine_of(src).now(), atm::Frame::blank(src, dst, vci, bytes));
+  }
+
+  sim::EpochStats run() {
+    sim::EpochParams ep;
+    ep.lookahead = fabric->min_lookahead();
+    ep.drain_horizon = fabric->drain_horizon();
+    ep.pending_bound = fabric->pending_bound();
+    auto local_drain = [this](std::uint32_t s, sim::SimTime limit) {
+      return fabric->local_drain(s, limit);
+    };
+    auto local_min = [this](std::uint32_t s) { return fabric->local_pending_min(s); };
+    const sim::FusedHooks hooks{local_drain, local_min, fused ? &ledger : nullptr};
+    sim::EpochStats stats;
+    sim::run_epochs(engines, ep, hooks,
+                    [this](sim::SimTime limit) { return fabric->drain(limit); }, &stats);
+    return stats;
+  }
+
+  sim::ShardPlan plan;
+  bool fused;
+  std::vector<std::unique_ptr<sim::Engine>> owned;
+  std::vector<sim::Engine*> engines;
+  sim::FusionLedger ledger;
+  std::unique_ptr<atm::Fabric> fabric;
+  std::vector<std::vector<std::string>> logs;  // per node
+  std::function<void(atm::NodeId, const atm::Frame&)> on_delivery;
+};
+
 struct EpochRun {
-  std::vector<std::vector<std::string>> logs;  // per node: "t src vci"
+  std::vector<std::vector<std::string>> logs;  // per node, as EpochHarness logs
   sim::EpochStats stats;
 };
 
+/// A synthetic 8-node workload on four shard engines: every node computes
+/// in 10 us steps, sends each step to its shard partner (local traffic) and
+/// every fifth step to a node two shards away, which answers.
 EpochRun run_synthetic_epochs(bool fused) {
   constexpr std::uint32_t kNodes = 8;
   constexpr std::uint32_t kSteps = 20;
-  const sim::ShardPlan plan = sim::ShardPlan::balanced(kNodes, 4);
-  std::vector<std::unique_ptr<sim::Engine>> owned;
-  std::vector<sim::Engine*> engines;
-  for (std::uint32_t s = 0; s < plan.shards; ++s) {
-    owned.push_back(std::make_unique<sim::Engine>());
-    engines.push_back(owned.back().get());
-  }
-  sim::FusionLedger ledger;
-  atm::FabricParams fp;
-  atm::Fabric fabric(fp, plan, engines, fused ? &ledger : nullptr);
-  EpochRun run;
-  run.logs.resize(kNodes);
-  auto engine_of = [&](atm::NodeId n) -> sim::Engine& {
-    return *engines[plan.shard_of(n)];
+  EpochHarness h(atm::FabricParams{}, kNodes, 4, fused);
+  h.on_delivery = [&h](atm::NodeId n, const atm::Frame& f) {
+    if (f.vci >= 1000 && f.vci < 2000) h.send(n, f.src, f.vci + 1000, 256);  // reply
   };
-  auto send = [&](atm::NodeId src, atm::NodeId dst, std::uint32_t vci) {
-    atm::Frame f = atm::Frame::blank(src, dst, vci, 256);
-    fabric.send(engine_of(src).now(), std::move(f));
-  };
-  for (atm::NodeId n = 0; n < kNodes; ++n) {
-    fabric.attach(n, [&, n](atm::Frame f) {
-      run.logs[n].push_back(std::to_string(engine_of(n).now()) + ' ' +
-                            std::to_string(f.src) + ' ' + std::to_string(f.vci));
-      if (f.vci >= 1000 && f.vci < 2000) send(n, f.src, f.vci + 1000);  // reply
-    });
-  }
   std::function<void(atm::NodeId, std::uint32_t)> step = [&](atm::NodeId n,
                                                              std::uint32_t k) {
-    send(n, n ^ 1u, k);
-    if (k % 5 == 4) send(n, (n + 4) % kNodes, 1000 + k);
+    h.send(n, n ^ 1u, k, 256);
+    if (k % 5 == 4) h.send(n, (n + 4) % kNodes, 1000 + k, 256);
     if (k + 1 < kSteps) {
-      engine_of(n).schedule_after(10 * sim::kMicrosecond,
-                                  [&step, n, k] { step(n, k + 1); });
+      h.engine_of(n).schedule_after(10 * sim::kMicrosecond,
+                                    [&step, n, k] { step(n, k + 1); });
     }
   };
   for (atm::NodeId n = 0; n < kNodes; ++n) {
-    engine_of(n).schedule_at(0, [&step, n] { step(n, 0); });
+    h.engine_of(n).schedule_at(0, [&step, n] { step(n, 0); });
   }
-
-  sim::EpochParams ep;
-  ep.lookahead = fabric.min_lookahead();
-  ep.drain_horizon = fabric.drain_horizon();
-  ep.pending_bound = fabric.pending_bound();
-  const sim::LookaheadMatrix matrix = fabric.lookahead_matrix(plan);
-  auto local_drain = [&](std::uint32_t s, sim::SimTime limit) {
-    return fabric.local_drain(s, limit);
-  };
-  auto local_min = [&](std::uint32_t s) { return fabric.local_pending_min(s); };
-  const sim::FusedHooks hooks{local_drain, local_min, fused ? &ledger : nullptr};
-  sim::run_epochs(engines, ep, fused ? &matrix : nullptr, hooks,
-                  [&](sim::SimTime limit) { return fabric.drain(limit); }, &run.stats);
-  return run;
+  const sim::EpochStats stats = h.run();
+  return {h.logs, stats};
 }
 
 TEST(ParsimCluster, FusionShrinksTheEpochScheduleWithoutChangingResults) {
@@ -565,6 +503,43 @@ TEST(ParsimCluster, FusionShrinksTheEpochScheduleWithoutChangingResults) {
   std::size_t delivered = 0;
   for (const std::vector<std::string>& log : on.logs) delivered += log.size();
   EXPECT_EQ(delivered, 8u * 20 + 2 * 8u * 4) << "every step, probe and reply arrives";
+}
+
+/// A 32-node Clos of radix-32 blocks: two 16-host leaves, nodes 0-15 and
+/// 16-31. At t = 0 node 1 sends two 8 KB frames across the leaves; the
+/// second is still buffered at the first drain, so a normal epoch follows.
+/// At 1 us node 2 sends 16 B to node 3 on its own leaf, L = 800 ns away;
+/// at 2.9 us node 3 runs a local event.
+std::vector<std::vector<std::string>> run_clos_leaf_epochs(std::uint32_t shards) {
+  atm::FabricParams fp;
+  fp.topology = atm::TopologyKind::kClos;
+  fp.switch_ports = 32;
+  fp.clos_radix = 32;
+  EpochHarness h(fp, 32, shards, /*fused=*/true);
+  h.engine_of(1).schedule_at(0, [&h] {
+    h.send(1, 17, 1, 8192);
+    h.send(1, 17, 2, 8192);
+  });
+  h.engine_of(2).schedule_at(sim::kMicrosecond, [&h] { h.send(2, 3, 3, 16); });
+  h.engine_of(3).schedule_at(2900 * sim::kNanosecond, [&h] { h.log(3, "local"); });
+  (void)h.run();
+  return h.logs;
+}
+
+TEST(ParsimCluster, LeafSizedClosShardsNeverScheduleIntoThePast) {
+  // With K = 2 each shard is one whole leaf. A window sized by the distance
+  // between the two leaves (2100 ns) would let node 3 run its 2.9 us event
+  // before the drain that delivers node 2's frame at ~2.48 us; the
+  // delivery would then land in node 3's simulated past. One lookahead for
+  // every pair keeps each K on the K = 1 schedule.
+  const std::vector<std::vector<std::string>> base = run_clos_leaf_epochs(1);
+  ASSERT_EQ(base[3].size(), 2u);
+  EXPECT_EQ(base[3][0], "2481585 2 3") << "the same-leaf frame arrives first";
+  EXPECT_EQ(base[3][1], "2900000 local");
+  EXPECT_EQ(base[17].size(), 2u);
+  for (const std::uint32_t k : {2u, 4u}) {
+    EXPECT_EQ(run_clos_leaf_epochs(k), base) << "diverged at K=" << k;
+  }
 }
 
 TEST(ParsimCluster, DeadlockIsDiagnosedInShardedMode) {

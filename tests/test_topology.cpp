@@ -1,7 +1,7 @@
 // Topology layer tests (DESIGN.md §14): banyan self-routing collision
 // theory, Clos block mapping, torus dimension-order distances, the
-// distance-aware lookahead matrix, and cross-K identity for the multi-stage
-// topologies.
+// soundness of the one epoch lookahead on every topology, and cross-K
+// identity for the multi-stage topologies.
 #include <set>
 #include <sstream>
 #include <string>
@@ -218,96 +218,52 @@ TEST(TorusMapping, ZeroLoadRouteCostIsHopsTimesHopCost) {
 }
 
 // ---------------------------------------------------------------------------
-// Distance-aware lookahead (the acceptance assertion)
+// The one epoch lookahead
 
-TEST(DistanceLookahead, TorusNonNeighborPairsExceedTheBanyanBound) {
-  // 256-node torus (8 x 8 x 4), 4 shards = one z-plane each. Neighbor planes
-  // sit one hop apart; planes 0<->2 and 1<->3 are two hops apart, so their
-  // exported lookahead must strictly exceed the single-stage banyan's
-  // uniform 800 ns bound — the slack the tentpole exists to unlock.
-  sim::Engine eng;
-  atm::FabricParams fp;
-  fp.switch_ports = 256;
-  fp.topology = atm::TopologyKind::kTorus;
-  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(256, 1), {&eng});
-  const sim::ShardPlan plan = sim::ShardPlan::balanced(256, 4);
-  const sim::LookaheadMatrix m = fabric.lookahead_matrix(plan);
-
-  const sim::SimDuration banyan_bound = 500 * sim::kNanosecond + 2 * kPropagation;
-  const sim::SimDuration hop_cost = kHop + kPropagation;  // 350 ns
-  EXPECT_EQ(fabric.min_lookahead(), hop_cost + 2 * kPropagation);  // 650 ns
-
-  // Neighbor planes: exactly the uniform torus floor.
-  EXPECT_EQ(m.at(0, 1), hop_cost + 2 * kPropagation);
-  EXPECT_EQ(m.at(0, 3), hop_cost + 2 * kPropagation);  // wrap neighbor
-  // Opposite planes: two hops, strictly beyond the banyan bound.
-  EXPECT_EQ(m.at(0, 2), 2 * hop_cost + 2 * kPropagation);  // 1000 ns
-  EXPECT_EQ(m.at(1, 3), 2 * hop_cost + 2 * kPropagation);
-  EXPECT_GT(m.at(0, 2), banyan_bound);
-  EXPECT_GT(m.at(1, 3), banyan_bound);
-}
-
-TEST(DistanceLookahead, ClosMatrixReflectsAncestorHeightPerPair) {
-  // 64-node Clos of radix-8 blocks, 16 shards = one leaf each: adjacent
-  // leaves in one group are 3 switches + 2 links apart, leaves of different
-  // groups 5 + 4 — and every entry clears the banyan bound.
-  sim::Engine eng;
-  atm::FabricParams fp;
-  fp.switch_ports = 64;
-  fp.topology = atm::TopologyKind::kClos;
-  fp.clos_radix = 8;
-  const atm::Fabric fabric(fp, sim::ShardPlan::balanced(64, 1), {&eng});
-  const sim::LookaheadMatrix m =
-      fabric.lookahead_matrix(sim::ShardPlan::balanced(64, 16));
-
-  const sim::SimDuration two_prop = 2 * kPropagation;
-  EXPECT_EQ(m.at(0, 1), 3 * kSwitchLatency + 2 * kPropagation + two_prop);
-  EXPECT_EQ(m.at(0, 4), 5 * kSwitchLatency + 4 * kPropagation + two_prop);
-  EXPECT_EQ(m.at(3, 12), 5 * kSwitchLatency + 4 * kPropagation + two_prop);
-  const sim::SimDuration banyan_bound = 500 * sim::kNanosecond + two_prop;
-  for (std::uint32_t r = 0; r < m.shards; ++r) {
-    for (std::uint32_t c = 0; c < m.shards; ++c) {
-      if (r != c) {
-        EXPECT_GT(m.at(r, c), banyan_bound);
-      }
-    }
-  }
-}
-
-TEST(DistanceLookahead, MatrixNeverUndercutsTheBruteForcePairMinimum) {
-  // The closed-form fill_block_latency overrides must agree with the
-  // brute-force pair minimum the base class computes from min_latency().
-  for (const atm::TopologyKind kind :
-       {atm::TopologyKind::kClos, atm::TopologyKind::kTorus}) {
+TEST(FabricLookahead, EveryDeliveryLandsAtLeastOneLookaheadAfterItsSend) {
+  // The epoch scheduler sizes every window with min_lookahead() = the
+  // topology's min_cross_latency() + two propagation legs, for every pair of
+  // nodes. Route every ordered pair at once, so contention piles up, on
+  // each topology — including a 64-port banyan and radix-8 Clos blocks,
+  // whose 500 ns pipeline does not split evenly into its stages.
+  struct Shape {
+    atm::TopologyKind kind;
+    std::uint32_t ports;
+    std::uint32_t clos_radix;
+  };
+  for (const Shape shape : {Shape{atm::TopologyKind::kBanyan, 64, 32},
+                            Shape{atm::TopologyKind::kClos, 64, 8},
+                            Shape{atm::TopologyKind::kClos, 8, 4},
+                            Shape{atm::TopologyKind::kTorus, 64, 32}}) {
+    sim::Engine eng;
     atm::FabricParams fp;
-    fp.switch_ports = 64;
-    fp.topology = kind;
-    fp.clos_radix = 8;
-    const std::unique_ptr<atm::Topology> topo = atm::make_topology(fp);
-    for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      const sim::ShardPlan plan = sim::ShardPlan::balanced(64, shards);
-      sim::LookaheadMatrix m;
-      m.shards = plan.shards;
-      m.entries.assign(static_cast<std::size_t>(plan.shards) * plan.shards, 0);
-      topo->fill_block_latency(plan, m);
-      std::vector<atm::NodeId> start(plan.shards + 1, 0);
-      for (std::uint32_t s = 0; s < plan.shards; ++s) {
-        start[s + 1] = start[s] + plan.count(s);
-      }
-      for (std::uint32_t r = 0; r < plan.shards; ++r) {
-        for (std::uint32_t c = 0; c < plan.shards; ++c) {
-          if (r == c) continue;
-          sim::SimDuration best = sim::LookaheadMatrix::kUnbounded;
-          for (atm::NodeId a = start[r]; a < start[r + 1]; ++a) {
-            for (atm::NodeId b = start[c]; b < start[c + 1]; ++b) {
-              best = std::min(best, topo->min_latency(a, b));
-            }
-          }
-          ASSERT_EQ(m.at(r, c), best)
-              << topo->name() << " K=" << shards << " (" << r << "," << c << ")";
-        }
+    fp.topology = shape.kind;
+    fp.switch_ports = shape.ports;
+    fp.clos_radix = shape.clos_radix;
+    atm::Fabric fabric(fp, sim::ShardPlan::balanced(shape.ports, 1), {&eng});
+    const sim::SimDuration lookahead = fabric.min_lookahead();
+    EXPECT_EQ(fabric.drain_horizon() + fabric.pending_bound(), lookahead);
+    // first_bit[src * ports + dst]: when the src -> dst frame began to leave.
+    const std::size_t ports = shape.ports;
+    std::vector<sim::SimTime> first_bit(ports * ports);
+    std::size_t delivered = 0;
+    for (atm::NodeId n = 0; n < shape.ports; ++n) {
+      fabric.attach(n, [&, n](atm::Frame f) {
+        ++delivered;
+        EXPECT_GE(eng.now() - first_bit[f.src * ports + n], lookahead)
+            << fabric.topology().name() << ' ' << f.src << " -> " << n;
+      });
+    }
+    for (atm::NodeId a = 0; a < shape.ports; ++a) {
+      for (atm::NodeId b = 0; b < shape.ports; ++b) {
+        if (a == b) continue;
+        first_bit[a * ports + b] =
+            fabric.send(0, atm::Frame::blank(a, b, 1, 16)).first_bit_out;
       }
     }
+    EXPECT_EQ(fabric.drain(sim::kNever), sim::kNever);
+    eng.run();
+    EXPECT_EQ(delivered, ports * (ports - 1));
   }
 }
 
@@ -330,6 +286,27 @@ TEST(TopologyCli, ParseAcceptsExactlyTheThreeNames) {
 // ---------------------------------------------------------------------------
 // Cross-K identity on the multi-stage topologies
 
+/// Runs `config` at K = 1, 2 and 4 and expects every K to reproduce the
+/// K = 1 result.
+void run_across_k(cluster::SimParams params, const apps::JacobiConfig& config,
+                  const char* what) {
+  std::string base;
+  for (const std::uint32_t k : {1u, 2u, 4u}) {
+    params.sim_shards = k;
+    double checksum = 0;
+    const apps::RunResult r = apps::run_jacobi(params, config, &checksum);
+    std::ostringstream out;
+    out.precision(17);
+    out << r.elapsed_cycles << '|' << checksum << '|' << r.hit_ratio_pct << '|'
+        << r.compute_e9 << '|' << r.overhead_e9 << '|' << r.delay_e9;
+    if (base.empty()) {
+      base = out.str();
+    } else {
+      EXPECT_EQ(base, out.str()) << what << " diverged at K=" << k;
+    }
+  }
+}
+
 TEST(TopologyIdentity, ClosAndTorusClustersAreIdenticalAcrossK) {
   apps::JacobiConfig config;
   config.n = 16;
@@ -338,23 +315,14 @@ TEST(TopologyIdentity, ClosAndTorusClustersAreIdenticalAcrossK) {
        {atm::TopologyKind::kClos, atm::TopologyKind::kTorus}) {
     cluster::SimParams params = apps::make_params(cluster::BoardKind::kCni, 8);
     params.fabric.topology = kind;
-    std::string base;
-    for (const std::uint32_t k : {1u, 2u, 4u}) {
-      params.sim_shards = k;
-      double checksum = 0;
-      const apps::RunResult r = apps::run_jacobi(params, config, &checksum);
-      std::ostringstream out;
-      out.precision(17);
-      out << r.elapsed_cycles << '|' << checksum << '|' << r.hit_ratio_pct
-          << '|' << r.compute_e9 << '|' << r.overhead_e9 << '|' << r.delay_e9;
-      if (base.empty()) {
-        base = out.str();
-      } else {
-        EXPECT_EQ(base, out.str())
-            << atm::topology_name(kind) << " diverged at K=" << k;
-      }
-    }
+    run_across_k(params, config, atm::topology_name(kind));
   }
+  // Radix-4 Clos blocks hold 2-host leaves, so the K = 2 and K = 4 shards
+  // each span whole leaves.
+  cluster::SimParams params = apps::make_params(cluster::BoardKind::kCni, 8);
+  params.fabric.topology = atm::TopologyKind::kClos;
+  params.fabric.clos_radix = 4;
+  run_across_k(params, config, "clos radix 4");
 }
 
 }  // namespace
