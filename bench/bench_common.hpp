@@ -11,9 +11,12 @@
 // the printed ordering never depends on completion order.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -26,6 +29,32 @@ namespace cni::bench {
 inline bool fast_mode() {
   const char* env = std::getenv("CNI_BENCH_FAST");
   return env != nullptr && env[0] != '0';
+}
+
+/// Strict `--name=N` flag: false when `arg` is not `name`, else `*out` is set
+/// to N, which must be a decimal in [lo, hi]. Anything else prints the
+/// accepted values and exits 2, like the CNI_* parsers.
+inline bool count_flag(const char* arg, std::string_view name, std::uint32_t lo,
+                       std::uint32_t hi, std::uint32_t* out) {
+  const std::string_view a(arg);
+  if (!a.starts_with(name)) return false;
+  const std::string_view v = a.substr(name.size());
+  std::uint32_t n = 0;
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+  if (v.empty() || ec != std::errc() || end != v.data() + v.size() || n < lo || n > hi) {
+    std::fprintf(stderr, "error: invalid %s (%.*s takes a decimal between %u and %u)\n",
+                 arg, static_cast<int>(name.size() - 1), name.data(), lo, hi);
+    std::exit(2);
+  }
+  *out = n;
+  return true;
+}
+
+/// An argument none of the binary's flags claimed: prints it with the usage
+/// line and exits 2.
+[[noreturn]] inline void unknown_flag(const char* arg, const char* usage) {
+  std::fprintf(stderr, "error: unknown argument '%s'\nusage: %s\n", arg, usage);
+  std::exit(2);
 }
 
 /// Processor counts along the paper's x-axis (figures run 1..32).

@@ -180,14 +180,18 @@ int main(int argc, char** argv) {
   std::uint32_t nodes_arg = 0;
   std::uint32_t rounds_arg = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-    if (std::strncmp(argv[i], "--topology=", 11) == 0) topo_pinned = true;
-    if (std::strncmp(argv[i], "--nodes=", 8) == 0) {
-      nodes_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 8));
-    }
-    if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      rounds_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 9));
+    const char* a = argv[i];
+    if (std::strncmp(a, "--topology=", 11) == 0) topo_pinned = true;
+    if (std::strcmp(a, "--json") == 0) {
+      json = true;
+    } else if (std::strcmp(a, "--fast") == 0) {
+      fast = true;
+    } else if (!obs::Reporter::owns(a) && !cluster::is_fabric_flag(a) &&
+               !bench::count_flag(a, "--nodes=", 2, 4096, &nodes_arg) &&
+               !bench::count_flag(a, "--rounds=", 1, 1000000, &rounds_arg)) {
+      bench::unknown_flag(a,
+                          "fig_barrier_scaling [--json] [--fast] [--nodes=N] [--rounds=N] "
+                          "[--topology=banyan|clos|torus] [report flags]");
     }
   }
 

@@ -39,6 +39,7 @@
 
 #include "apps/jacobi.hpp"
 #include "apps/runner.hpp"
+#include "bench_common.hpp"
 #include "cluster/cluster.hpp"
 #include "nic/wire.hpp"
 #include "sim/channel.hpp"
@@ -303,7 +304,7 @@ void print_table(const Point& p) {
 
 int main(int argc, char** argv) {
   bool json = false;
-  bool fast = std::getenv("CNI_BENCH_FAST") != nullptr;
+  bool fast = cni::bench::fast_mode();
   std::uint32_t procs_arg = 0;
   std::uint32_t n_arg = 0;
   std::uint32_t iters_arg = 0;
@@ -311,21 +312,22 @@ int main(int argc, char** argv) {
   const char* point_filter = nullptr;
   const char* mode_filter = nullptr;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--fast") == 0) fast = true;
-    if (std::strncmp(argv[i], "--point=", 8) == 0) point_filter = argv[i] + 8;
-    if (std::strncmp(argv[i], "--modes=", 8) == 0) mode_filter = argv[i] + 8;
-    if (std::strncmp(argv[i], "--procs=", 8) == 0) {
-      procs_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 8));
-    }
-    if (std::strncmp(argv[i], "--n=", 4) == 0) {
-      n_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 4));
-    }
-    if (std::strncmp(argv[i], "--iters=", 8) == 0) {
-      iters_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 8));
-    }
-    if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      rounds_arg = static_cast<std::uint32_t>(std::atoi(argv[i] + 9));
+    const char* a = argv[i];
+    if (std::strcmp(a, "--json") == 0) {
+      json = true;
+    } else if (std::strcmp(a, "--fast") == 0) {
+      fast = true;
+    } else if (std::strncmp(a, "--point=", 8) == 0) {
+      point_filter = a + 8;
+    } else if (std::strncmp(a, "--modes=", 8) == 0) {
+      mode_filter = a + 8;
+    } else if (!cni::bench::count_flag(a, "--procs=", 1, 4096, &procs_arg) &&
+               !cni::bench::count_flag(a, "--n=", 1, 65536, &n_arg) &&
+               !cni::bench::count_flag(a, "--iters=", 1, 1000000, &iters_arg) &&
+               !cni::bench::count_flag(a, "--rounds=", 1, 1000000, &rounds_arg)) {
+      cni::bench::unknown_flag(a,
+                               "micro_parsim [--json] [--fast] [--point=NAME] [--modes=LIST] "
+                               "[--procs=N] [--n=N] [--iters=N] [--rounds=N]");
     }
   }
 

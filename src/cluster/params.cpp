@@ -1,9 +1,10 @@
 #include "cluster/params.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -32,6 +33,19 @@ std::uint32_t default_sim_shards() {
 
 namespace {
 CollectiveMode g_default_collective = CollectiveMode::kHost;
+
+// The flags apply_fabric_cli consumes; is_fabric_flag answers from the same
+// list.
+constexpr std::string_view kTopologyFlag = "--topology=";
+constexpr std::string_view kPortsFlag = "--ports=";
+constexpr std::string_view kCollectiveFlag = "--collective=";
+constexpr std::array<std::string_view, 3> kFabricFlags = {kTopologyFlag, kPortsFlag,
+                                                          kCollectiveFlag};
+
+/// The text after `flag` (a "--name=" prefix) when `arg` starts with it.
+const char* flag_value(const char* arg, std::string_view flag) {
+  return std::string_view(arg).starts_with(flag) ? arg + flag.size() : nullptr;
+}
 }  // namespace
 
 CollectiveMode default_collective() {
@@ -64,39 +78,44 @@ bool parse_collective(const char* text, CollectiveMode& out) {
   return false;
 }
 
+bool is_fabric_flag(const char* arg) {
+  return std::any_of(kFabricFlags.begin(), kFabricFlags.end(),
+                     [arg](std::string_view f) { return flag_value(arg, f) != nullptr; });
+}
+
 void apply_fabric_cli(int argc, char** argv, obs::Reporter* report) {
   atm::TopologyKind kind = atm::default_topology();
   std::uint32_t ports = atm::default_switch_ports();
   CollectiveMode collective = default_collective();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--topology=", 11) == 0) {
-      if (!atm::parse_topology(arg + 11, kind)) {
+    if (const char* topo = flag_value(arg, kTopologyFlag)) {
+      if (!atm::parse_topology(topo, kind)) {
         std::fprintf(stderr,
                      "error: unknown topology '%s' (--topology takes banyan, clos or "
                      "torus)\n",
-                     arg + 11);
+                     topo);
         std::exit(2);
       }
-    } else if (std::strncmp(arg, "--ports=", 8) == 0) {
+    } else if (const char* count = flag_value(arg, kPortsFlag)) {
       char* end = nullptr;
-      const unsigned long v = std::strtoul(arg + 8, &end, 10);
-      if (end == arg + 8 || *end != '\0' || v < 2 || v > 65536 ||
-          !util::is_pow2(static_cast<std::uint64_t>(v))) {
+      const unsigned long n = std::strtoul(count, &end, 10);
+      if (end == count || *end != '\0' || n < 2 || n > 65536 ||
+          !util::is_pow2(static_cast<std::uint64_t>(n))) {
         std::fprintf(stderr,
                      "error: invalid --ports=%s (the fabric port count must be a power "
                      "of two between 2 and 65536, e.g. --ports=4096)\n",
-                     arg + 8);
+                     count);
         std::exit(2);
       }
-      ports = static_cast<std::uint32_t>(v);
-    } else if (std::strncmp(arg, "--collective=", 13) == 0) {
+      ports = static_cast<std::uint32_t>(n);
+    } else if (const char* name = flag_value(arg, kCollectiveFlag)) {
       CollectiveMode mode = collective;
-      if (!parse_collective(arg + 13, mode)) {
+      if (!parse_collective(name, mode)) {
         std::fprintf(stderr,
                      "error: unknown collective mode '%s' (--collective takes nic or "
                      "host)\n",
-                     arg + 13);
+                     name);
         std::exit(2);
       }
       collective = mode;

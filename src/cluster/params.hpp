@@ -66,6 +66,10 @@ void set_default_collective(CollectiveMode mode);
 /// startup, before any sweep worker builds a SimParams.
 void apply_fabric_cli(int argc, char** argv, obs::Reporter* report = nullptr);
 
+/// Whether `arg` is one of the flags apply_fabric_cli consumes, so a binary
+/// that rejects unknown arguments can accept these.
+[[nodiscard]] bool is_fabric_flag(const char* arg);
+
 struct SimParams {
   std::uint64_t cpu_freq_hz = 166'000'000;  ///< Table 1: 166 MHz Alpha
   std::uint64_t page_size = 4096;           ///< host + DSM + Message Cache buffer page

@@ -1,13 +1,17 @@
 // Per-node, per-page DSM state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "dsm/diff.hpp"
+#include "dsm/interval.hpp"
 #include "dsm/vector_clock.hpp"
 #include "mem/page.hpp"
 #include "util/buf_pool.hpp"
+#include "util/check.hpp"
 
 namespace cni::dsm {
 
@@ -19,10 +23,12 @@ enum class PageMode : std::uint8_t {
 
 /// An unapplied write notice: `writer` dirtied this page in its interval
 /// `index`, whose clock was `vc`. Kept until the next fault fetches the data.
+/// Every notice one interval raises on a node shares that interval's clock,
+/// so a node holds at most one clock copy per received interval.
 struct Notice {
   std::uint32_t writer = 0;
   std::uint32_t index = 0;
-  VectorClock vc;
+  std::shared_ptr<const VectorClock> vc;
 };
 
 struct PageEntry {
@@ -34,7 +40,9 @@ struct PageEntry {
   std::vector<std::byte> data;   ///< the node's frame (allocated on first touch)
   util::Buf twin;                ///< pooled pre-write image (nonempty while writing)
   std::vector<Diff> retained;    ///< own per-interval diffs (exact vc tags)
-  std::vector<Notice> pending;   ///< invalidating notices not yet satisfied
+  /// Invalidating notices not yet satisfied: at most one per writer (its
+  /// newest, which covers the writer's older ones), ordered by writer.
+  std::vector<Notice> pending;
 
   /// The causal point the current bytes represent: everything at or below
   /// this clock is already folded into `data`. Diff requests carry it as a
@@ -46,6 +54,21 @@ struct PageEntry {
   // lookup per simulated load/store).
   mem::PAddr pa_base = 0;
   bool pa_cached = false;
+
+  /// Records that `iv` dirtied this page, replacing the writer's older
+  /// notice. A fetch only ever needs each writer's newest interval: its
+  /// diffs are requested up to that index, and its clock is the one the
+  /// base-selection dominance test reads.
+  void add_notice(const Interval& iv, const std::shared_ptr<const VectorClock>& vc) {
+    auto it = std::lower_bound(pending.begin(), pending.end(), iv.writer,
+                               [](const Notice& n, std::uint32_t w) { return n.writer < w; });
+    if (it == pending.end() || it->writer != iv.writer) {
+      it = pending.insert(it, Notice{iv.writer, 0, {}});
+    }
+    CNI_DCHECK(iv.index > it->index);
+    it->index = iv.index;
+    it->vc = vc;
+  }
 
   [[nodiscard]] bool readable() const { return mode != PageMode::kInvalid; }
   [[nodiscard]] bool writable() const { return mode == PageMode::kReadWrite; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 
 #include "dsm/system.hpp"
 #include "util/check.hpp"
@@ -104,10 +105,14 @@ void DsmRuntime::install_handlers() {
 // Basic plumbing
 // ---------------------------------------------------------------------------
 
-PageEntry& DsmRuntime::entry(PageId p) {
+PageEntry& DsmRuntime::slot(PageId p) {
   CNI_CHECK_MSG(p < sys_.page_count(), "access outside the allocated shared region");
   if (pages_.size() < sys_.page_count()) pages_.resize(sys_.page_count());
-  PageEntry& e = pages_[p];
+  return pages_[p];
+}
+
+PageEntry& DsmRuntime::resident(PageId p) {
+  PageEntry& e = slot(p);
   if (e.data.empty()) e.data.resize(sys_.geometry().size());
   return e;
 }
@@ -117,9 +122,20 @@ PageMode DsmRuntime::page_mode(PageId p) const {
   return pages_[p].mode;
 }
 
-std::size_t DsmRuntime::pending_notices(PageId p) const {
-  if (p >= pages_.size()) return 0;
-  return pages_[p].pending.size();
+std::span<const Notice> DsmRuntime::pending(PageId p) const {
+  if (p >= pages_.size()) return {};
+  return pages_[p].pending;
+}
+
+std::size_t DsmRuntime::resident_frames() const {
+  return static_cast<std::size_t>(std::count_if(
+      pages_.begin(), pages_.end(), [](const PageEntry& e) { return !e.data.empty(); }));
+}
+
+std::size_t DsmRuntime::pending_entries() const {
+  std::size_t n = 0;
+  for (const PageEntry& e : pages_) n += e.pending.size();
+  return n;
 }
 
 mem::VAddr DsmRuntime::va_of_page(PageId p) const { return sys_.va_of_page(p); }
@@ -190,7 +206,7 @@ void DsmRuntime::fault(PageId p, bool write) {
     ++st.read_faults;
   }
   cpu.charge_overhead(*thread_, sys_.params().fault_trap_cycles);
-  PageEntry& e = entry(p);
+  PageEntry& e = resident(p);
   if (!e.readable()) fetch_page_data(e, p);
   if (write && !e.writable()) write_upgrade(e, p);
   [[maybe_unused]] const sim::SimTime usable_at = node_.engine().now();
@@ -227,13 +243,10 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
     return;
   }
 
-  // The newest pending notice per writer (retained diffs are per-interval,
-  // so the newest notice identifies everything we may need from a writer).
-  std::map<std::uint32_t, Notice> latest;
-  for (const Notice& n : e.pending) {
-    auto it = latest.find(n.writer);
-    if (it == latest.end() || n.index > it->second.index) latest[n.writer] = n;
-  }
+  // e.pending holds the newest notice per writer, in writer order (retained
+  // diffs are per-interval, so the newest notice identifies everything we
+  // may need from a writer).
+  const std::vector<Notice>& latest = e.pending;
 
   fetch_ = Fetch{};
   fetch_.active = true;
@@ -255,10 +268,10 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
   if (!e.ever_valid) {
     std::uint32_t from = sys_.home_of(p);
     const Notice* base = nullptr;
-    for (const auto& [w, n] : latest) {
+    for (const Notice& n : latest) {
       bool dominated = false;
-      for (const auto& [w2, n2] : latest) {
-        if (w2 != w && n.vc.dominated_by(n2.vc)) {
+      for (const Notice& n2 : latest) {
+        if (n2.writer != n.writer && n.vc->dominated_by(*n2.vc)) {
           dominated = true;
           break;
         }
@@ -293,7 +306,8 @@ void DsmRuntime::fetch_page_data(PageEntry& e, PageId p) {
 
   // Phase 2 — per-interval diffs from every pending writer the floor does
   // not cover. The base node's own writes are always in its copy.
-  for (const auto& [w, n] : latest) {
+  for (const Notice& n : latest) {
+    const std::uint32_t w = n.writer;
     if (w == fetch_.base_from) continue;
     if (n.index <= fetch_.floor[w]) continue;
     ++fetch_.diffs_wanted;
@@ -438,7 +452,7 @@ void DsmRuntime::close_interval() {
   // writes fault and generate fresh notices. Diff creation *cost* is
   // charged lazily at request time, like the paper's lazy protocol.
   for (PageId p : dirty_) {
-    PageEntry& e = entry(p);
+    PageEntry& e = slot(p);
     snapshot_own_diff(e, iv.vc);
     if (e.content_vc.size() == 0) e.content_vc = VectorClock(nprocs_);
     e.content_vc.set(self_, iv.index);  // own data always holds own writes
@@ -456,9 +470,12 @@ std::size_t DsmRuntime::process_incoming_interval(const Interval& iv) {
 
   auto& st = node_.cpu().stats();
   st.write_notices_received += iv.pages.size();
+  // One clock for all of this interval's notices on this node.
+  const auto vc = std::make_shared<const VectorClock>(iv.vc);
   for (PageId p : iv.pages) {
-    PageEntry& e = entry(p);
-    e.pending.push_back(Notice{iv.writer, iv.index, iv.vc});
+    // Only protocol state: a page this node never faults gets no frame.
+    PageEntry& e = slot(p);
+    e.add_notice(iv, vc);
     if (e.mode != PageMode::kInvalid) {
       if (!e.twin.empty()) {
         // We are a concurrent writer of this page: preserve our open mods
@@ -703,6 +720,9 @@ void DsmRuntime::on_bar_arrive(Ctx& ctx, const atm::Frame& f) {
     ctx.send(make_frame(n, kDsmBarRelease, 0, M.epoch, 0, w.take()),
              nic::NicBoard::SendOptions{});
   }
+  // Every node's next arrive clock is at least `global` (its release merges
+  // it), so no later unseen_by here reaches below it.
+  M.store.retire_through(global);
 }
 
 void DsmRuntime::on_bar_release(Ctx& ctx, const atm::Frame& f) {
@@ -728,6 +748,12 @@ void DsmRuntime::schedule_barrier_release(sim::SimTime at, std::vector<Interval>
       at, [this, ivs = std::move(ivs), global = std::move(global)] {
         for (const Interval& iv : ivs) process_incoming_interval(iv);
         vc_.merge(global);
+        // Retirement is safe: from here on this node's clock, and the clock
+        // of every node that can ask it for intervals (lock requesters have
+        // all passed this barrier too), is at least `global`, so no
+        // unseen_by reaches an interval at or below it again. The store
+        // CNI_CHECKs that claim instead of silently dropping notices.
+        store_.retire_through(global);
         last_barrier_vc_ = global;
         barrier_released_ = true;
         wq_.notify_all();
@@ -1010,7 +1036,7 @@ void DsmRuntime::on_page_req(Ctx& ctx, const atm::Frame& f) {
   const std::uint32_t requester = r.u32();
   ctx.charge(sys_.params().handler_base_cycles);
 
-  PageEntry& e = entry(page);
+  PageEntry& e = resident(page);  // a never-touched home page is served as zeros
   if (e.content_vc.size() == 0) e.content_vc = VectorClock(nprocs_);
   ByteWriter w(kMsgHeadroom);
   // Page replies dominate payload volume; size the buffer once up front.
@@ -1073,7 +1099,7 @@ void DsmRuntime::on_diff_req(Ctx& ctx, const atm::Frame& f) {
   // Ship exactly the per-interval diffs in (floor, target]: what the
   // requester's notices cover and its copy lacks. Open (un-noticed)
   // modifications and intervals beyond the target stay local.
-  PageEntry& e = entry(page);
+  PageEntry& e = slot(page);
   std::vector<Diff> ds;
   ds.reserve(e.retained.size());
   for (const Diff& d : e.retained) {

@@ -88,7 +88,12 @@ class DsmRuntime {
   [[nodiscard]] std::uint32_t self() const { return self_; }
   [[nodiscard]] const VectorClock& clock() const { return vc_; }
   [[nodiscard]] PageMode page_mode(PageId p) const;
-  [[nodiscard]] std::size_t pending_notices(PageId p) const;
+  /// The page's unsatisfied write notices: one per writer, in writer order.
+  [[nodiscard]] std::span<const Notice> pending(PageId p) const;
+  /// Pages this node holds a frame for (touched by a fault or a page request).
+  [[nodiscard]] std::size_t resident_frames() const;
+  /// Pending write notices summed over every page (at most one per writer each).
+  [[nodiscard]] std::size_t pending_entries() const;
   [[nodiscard]] const IntervalStore& interval_store() const { return store_; }
   [[nodiscard]] cluster::Node& node() { return node_; }
   /// Whether the centralized barrier-manager state exists on this node: it
@@ -120,7 +125,12 @@ class DsmRuntime {
   void on_diff_reply(Ctx& ctx, const atm::Frame& f);
 
   // -- machinery --
-  PageEntry& entry(PageId p);
+  /// The page's protocol state, without a frame: notices, retained diffs
+  /// and clocks are recorded and served from it.
+  PageEntry& slot(PageId p);
+  /// slot(p) plus the page frame, zero-filled on first touch. Only a fault
+  /// and a page request (which may serve a never-touched home page) need it.
+  PageEntry& resident(PageId p);
   void fault(PageId p, bool write);
   void fetch_page_data(PageEntry& e, PageId p);
   void apply_fetch_results(PageEntry& e);
@@ -152,9 +162,10 @@ class DsmRuntime {
   static void sort_unique_intervals(std::vector<Interval>& ivs);
 
   /// Schedules this node's barrier release at `at`: processes `ivs` in
-  /// order, merges `global` into the clock, records the new barrier floor
-  /// and wakes the app thread. Shared by the centralized release handler
-  /// and both ends of the tree down-sweep.
+  /// order, merges `global` into the clock, records the new barrier floor,
+  /// retires the intervals at or below it and wakes the app thread. Shared
+  /// by the centralized release handler and both ends of the tree
+  /// down-sweep.
   void schedule_barrier_release(sim::SimTime at, std::vector<Interval> ivs,
                                 VectorClock global);
 

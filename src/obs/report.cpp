@@ -1,16 +1,31 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "obs/critpath.hpp"
 #include "util/log.hpp"
 
 namespace cni::obs {
 namespace {
+
+// The flags Reporter consumes; owns() answers from the same list.
+constexpr std::string_view kTraceOutFlag = "--trace-out=";
+constexpr std::string_view kMetricsOutFlag = "--metrics-out=";
+constexpr std::string_view kCritpathOutFlag = "--critpath-out=";
+constexpr std::string_view kTraceCapacityFlag = "--trace-capacity=";
+constexpr std::array<std::string_view, 4> kFlags = {kTraceOutFlag, kMetricsOutFlag,
+                                                    kCritpathOutFlag, kTraceCapacityFlag};
+
+/// The text after `flag` (a "--name=" prefix) when `arg` starts with it.
+const char* flag_value(const char* arg, std::string_view flag) {
+  return std::string_view(arg).starts_with(flag) ? arg + flag.size() : nullptr;
+}
 
 // All numeric output goes through snprintf with explicit formats: the report
 // must be byte-stable across runs and toolchains, so no iostream locale or
@@ -323,20 +338,20 @@ Reporter::Reporter(int argc, char** argv, std::string binary)
   Options opts = default_options();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      trace_path_ = arg + 12;
+    if (const char* path = flag_value(arg, kTraceOutFlag)) {
+      trace_path_ = path;
       opts.trace = true;
-    } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-      metrics_path_ = arg + 14;
-    } else if (std::strncmp(arg, "--critpath-out=", 15) == 0) {
-      critpath_path_ = arg + 15;
+    } else if (const char* mpath = flag_value(arg, kMetricsOutFlag)) {
+      metrics_path_ = mpath;
+    } else if (const char* cpath = flag_value(arg, kCritpathOutFlag)) {
+      critpath_path_ = cpath;
       opts.trace = true;  // critpath extraction needs the causal records
-    } else if (std::strncmp(arg, "--trace-capacity=", 17) == 0) {
-      if (!parse_trace_capacity(arg + 17, opts.trace_capacity)) {
+    } else if (const char* cap = flag_value(arg, kTraceCapacityFlag)) {
+      if (!parse_trace_capacity(cap, opts.trace_capacity)) {
         std::fprintf(stderr,
                      "error: invalid --trace-capacity=%s (takes a record count between 1 "
                      "and 4294967295)\n",
-                     arg + 17);
+                     cap);
         std::exit(2);
       }
     }
@@ -344,6 +359,11 @@ Reporter::Reporter(int argc, char** argv, std::string binary)
   // Install before any sweep thread exists: worker threads read the default
   // when they build SimParams, and a post-spawn write would race.
   set_default_options(opts);
+}
+
+bool Reporter::owns(const char* arg) {
+  return std::any_of(kFlags.begin(), kFlags.end(),
+                     [arg](std::string_view f) { return flag_value(arg, f) != nullptr; });
 }
 
 bool Reporter::finish() const {

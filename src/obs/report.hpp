@@ -60,6 +60,10 @@ class Reporter {
  public:
   Reporter(int argc, char** argv, std::string binary);
 
+  /// Whether `arg` is one of the flags construction consumes, so a binary
+  /// that rejects unknown arguments can accept these.
+  [[nodiscard]] static bool owns(const char* arg);
+
   /// Was --trace-out or --critpath-out given (so clusters should record)?
   [[nodiscard]] bool tracing() const {
     return !trace_path_.empty() || !critpath_path_.empty();

@@ -389,5 +389,14 @@ TEST(CollectiveCli, ParseAndName) {
   EXPECT_STREQ(cluster::collective_name(CollectiveMode::kHost), "host");
 }
 
+TEST(CollectiveCli, FabricFlagsAreExactlyTheOnesApplyFabricCliParses) {
+  for (const char* arg : {"--topology=clos", "--ports=64", "--collective=nic"}) {
+    EXPECT_TRUE(cluster::is_fabric_flag(arg)) << arg;
+  }
+  for (const char* arg : {"--topology", "--metrics-out=m.json", "--nodes=4", "topology=clos"}) {
+    EXPECT_FALSE(cluster::is_fabric_flag(arg)) << arg;
+  }
+}
+
 }  // namespace
 }  // namespace cni

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "apps/runner.hpp"
 #include "dsm/context.hpp"
@@ -222,7 +224,7 @@ TEST(DsmProtocol, RemoteNoticeInvalidatesReaderCopy) {
       ctx.barrier();
       // The second barrier carried a notice: our copy must be invalid now.
       EXPECT_EQ(ctx.runtime().page_mode(page), PageMode::kInvalid);
-      EXPECT_GE(ctx.runtime().pending_notices(page), 1u);
+      EXPECT_GE(ctx.runtime().pending(page).size(), 1u);
       EXPECT_EQ(ctx.read<std::uint64_t>(x), 2u);
     }
   });
@@ -357,6 +359,143 @@ TEST(DsmProtocol, RepeatedOverwriteNeverResurrectsOldValues) {
     }
     ctx.barrier();
   });
+}
+
+// ---- DSM state lifetime: per-node state tracks use, not history ----
+
+TEST(DsmStateLifetime, NoticeOnlyNodeHoldsNoFrameUntilItFaults) {
+  Fixture f(3);
+  const mem::VAddr x = f.sys.alloc(8, "x");
+  const PageId page = f.sys.page_of_va(x);
+  f.run([&](DsmContext& ctx) {
+    if (ctx.self() == 0) ctx.write<std::uint64_t>(x, 42);
+    ctx.barrier();
+    if (ctx.self() == 2) {
+      // The barrier told us about the page; recording that takes no frame.
+      EXPECT_EQ(ctx.runtime().pending(page).size(), 1u);
+      EXPECT_EQ(ctx.runtime().resident_frames(), 0u);
+      EXPECT_EQ(ctx.read<std::uint64_t>(x), 42u);
+      EXPECT_EQ(ctx.runtime().resident_frames(), 1u);
+    }
+    ctx.barrier();
+  });
+  // Node 1 only ever received the notice.
+  EXPECT_EQ(f.sys.runtime(1).pending(page).size(), 1u);
+  EXPECT_EQ(f.sys.runtime(1).resident_frames(), 0u);
+}
+
+TEST(DsmStateLifetime, PendingKeepsTheNewestNoticePerWriter) {
+  Fixture f(3);
+  const mem::VAddr x = f.sys.alloc(4096, "x");
+  const PageId page = f.sys.page_of_va(x);
+  f.run([&](DsmContext& ctx) {
+    // Node 0 dirties the page in three intervals, node 2 in two (each
+    // release closes one); node 1 hears of all five at the barrier.
+    const std::uint32_t rounds = ctx.self() == 0 ? 3 : ctx.self() == 2 ? 2 : 0;
+    for (std::uint32_t r = 1; r <= rounds; ++r) {
+      ctx.acquire(ctx.self());
+      ctx.write<std::uint64_t>(x + ctx.self() * 8, r);
+      ctx.release(ctx.self());
+    }
+    ctx.barrier();
+    if (ctx.self() == 1) {
+      const std::span<const Notice> p = ctx.runtime().pending(page);
+      ASSERT_EQ(p.size(), 2u);
+      EXPECT_EQ(p[0].writer, 0u);
+      EXPECT_EQ(p[0].index, 3u);
+      EXPECT_EQ(p[1].writer, 2u);
+      EXPECT_EQ(p[1].index, 2u);
+      EXPECT_EQ(ctx.read<std::uint64_t>(x), 3u);
+      EXPECT_EQ(ctx.read<std::uint64_t>(x + 16), 2u);
+      EXPECT_TRUE(ctx.runtime().pending(page).empty());
+    }
+    ctx.barrier();
+  });
+}
+
+TEST(DsmStateLifetime, NoticesOfOneIntervalShareItsClock) {
+  Fixture f(2);
+  const mem::VAddr x = f.sys.alloc(2 * 4096, "x");
+  const PageId p0 = f.sys.page_of_va(x);
+  const PageId p1 = f.sys.page_of_va(x + 4096);
+  ASSERT_NE(p0, p1);
+  f.run([&](DsmContext& ctx) {
+    if (ctx.self() == 0) {
+      ctx.write<std::uint64_t>(x, 1);
+      ctx.write<std::uint64_t>(x + 4096, 2);
+    }
+    ctx.barrier();
+  });
+  const DsmRuntime& rt = f.sys.runtime(1);
+  ASSERT_EQ(rt.pending(p0).size(), 1u);
+  ASSERT_EQ(rt.pending(p1).size(), 1u);
+  EXPECT_EQ(rt.pending(p0)[0].vc.get(), rt.pending(p1)[0].vc.get());
+  EXPECT_EQ((*rt.pending(p0)[0].vc)[0], rt.pending(p0)[0].index);
+}
+
+struct Footprint {
+  std::size_t frames = 0;
+  std::size_t pending = 0;
+  std::size_t intervals = 0;
+  bool operator==(const Footprint&) const = default;
+};
+
+/// Runs a small Jacobi (8 procs, 64x64 doubles, one page of each grid per
+/// node) and returns each node's DSM footprint at the end.
+std::vector<Footprint> jacobi_footprint(std::uint32_t iterations) {
+  constexpr std::uint32_t kProcs = 8;
+  constexpr std::uint32_t kN = 64;
+  Fixture f(kProcs);
+  const mem::VAddr a = f.sys.alloc_blocked(kN * kN * 8, "a");
+  const mem::VAddr b = f.sys.alloc_blocked(kN * kN * 8, "b");
+  const auto at = [](mem::VAddr g, std::uint32_t i, std::uint32_t j) {
+    return g + (static_cast<std::uint64_t>(i) * kN + j) * 8;
+  };
+  f.run([&](DsmContext& ctx) {
+    const std::uint32_t r0 = ctx.self() * kN / kProcs;
+    const std::uint32_t r1 = (ctx.self() + 1) * kN / kProcs;
+    for (std::uint32_t i = r0; i < r1; ++i) {
+      for (std::uint32_t j = 0; j < kN; ++j) ctx.write<double>(at(a, i, j), i + j);
+    }
+    ctx.barrier();
+    const std::uint32_t c0 = std::max(r0, 1u);
+    const std::uint32_t c1 = std::min(r1, kN - 1);
+    for (std::uint32_t it = 0; it < iterations; ++it) {
+      for (std::uint32_t i = c0; i < c1; ++i) {
+        for (std::uint32_t j = 1; j + 1 < kN; ++j) {
+          ctx.write<double>(at(b, i, j), 0.25 * (ctx.read<double>(at(a, i - 1, j)) +
+                                                 ctx.read<double>(at(a, i + 1, j)) +
+                                                 ctx.read<double>(at(a, i, j - 1)) +
+                                                 ctx.read<double>(at(a, i, j + 1))));
+        }
+      }
+      ctx.barrier();
+      for (std::uint32_t i = c0; i < c1; ++i) {
+        for (std::uint32_t j = 1; j + 1 < kN; ++j) {
+          ctx.write<double>(at(a, i, j), ctx.read<double>(at(b, i, j)));
+        }
+      }
+      ctx.barrier();
+    }
+  });
+  std::vector<Footprint> out;
+  for (std::uint32_t n = 0; n < kProcs; ++n) {
+    const DsmRuntime& rt = f.sys.runtime(n);
+    out.push_back({rt.resident_frames(), rt.pending_entries(), rt.interval_store().size()});
+  }
+  return out;
+}
+
+TEST(DsmStateLifetime, JacobiFootprintDoesNotGrowWithIterations) {
+  const std::vector<Footprint> short_run = jacobi_footprint(2);
+  const std::vector<Footprint> long_run = jacobi_footprint(8);
+  ASSERT_EQ(short_run.size(), long_run.size());
+  for (std::size_t n = 0; n < short_run.size(); ++n) {
+    EXPECT_GT(short_run[n].frames, 0u) << "node " << n;
+    EXPECT_EQ(short_run[n].frames, long_run[n].frames) << "node " << n;
+    EXPECT_EQ(short_run[n].pending, long_run[n].pending) << "node " << n;
+    EXPECT_EQ(short_run[n].intervals, long_run[n].intervals) << "node " << n;
+  }
 }
 
 }  // namespace

@@ -139,6 +139,37 @@ TEST(IntervalStore, UnseenByReturnsSuffixes) {
   EXPECT_EQ(unseen[2]->writer, 1u);
 }
 
+TEST(IntervalStore, RetiredIndicesStayKnownDuplicates) {
+  IntervalStore s;
+  for (std::uint32_t i = 1; i <= 4; ++i) s.insert(make_interval(0, i));
+  s.insert(make_interval(1, 1));
+  VectorClock floor(4);
+  floor.set(0, 3);
+  floor.set(1, 1);
+  s.retire_through(floor);
+  EXPECT_EQ(s.size(), 1u);  // only (0, 4) is live
+  // Late duplicates of retired intervals are still recognised as seen.
+  EXPECT_FALSE(s.insert(make_interval(0, 2)));
+  EXPECT_FALSE(s.insert(make_interval(1, 1)));
+  EXPECT_TRUE(s.contains(0, 1));
+  EXPECT_TRUE(s.insert(make_interval(0, 5)));
+  const auto unseen = s.unseen_by(floor);
+  ASSERT_EQ(unseen.size(), 2u);
+  EXPECT_EQ(unseen[0]->index, 4u);
+  EXPECT_EQ(unseen[1]->index, 5u);
+}
+
+TEST(IntervalStore, UnseenByBelowTheRetiredFloorDies) {
+  IntervalStore s;
+  for (std::uint32_t i = 1; i <= 3; ++i) s.insert(make_interval(0, i));
+  VectorClock floor(4);
+  floor.set(0, 2);
+  s.retire_through(floor);
+  VectorClock stale(4);
+  stale.set(0, 1);  // would need the retired interval 2
+  EXPECT_DEATH((void)s.unseen_by(stale), "retired interval floor");
+}
+
 std::vector<std::byte> bytes_of(const std::string& s) {
   std::vector<std::byte> v(s.size());
   std::memcpy(v.data(), s.data(), s.size());

@@ -164,6 +164,17 @@ TEST(ObsReport, TraceCapacityFlagTakesOnlyA32BitCount) {
   }
 }
 
+TEST(ObsReport, OwnsExactlyTheFlagsItParses) {
+  for (const char* arg :
+       {"--trace-out=t.json", "--metrics-out=m.json", "--critpath-out=c.json",
+        "--trace-capacity=64"}) {
+    EXPECT_TRUE(obs::Reporter::owns(arg)) << arg;
+  }
+  for (const char* arg : {"--trace-out", "--topology=clos", "--nodes=4", "metrics-out=m"}) {
+    EXPECT_FALSE(obs::Reporter::owns(arg)) << arg;
+  }
+}
+
 /// One traced Jacobi run on `topo` with a fixed shard count. Four nodes so a
 /// K=4 run puts every node in its own shard — the maximal cross-shard case.
 apps::RunResult traced_topo_run(atm::TopologyKind topo, std::uint32_t shards) {
