@@ -9,9 +9,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "mem/page.hpp"
+#include "util/zero_pages.hpp"
 
 namespace cni::mem {
 
@@ -62,19 +64,38 @@ class CacheModel {
   [[nodiscard]] std::uint64_t writebacks() const { return writebacks_; }
 
  private:
+  /// One tag-array entry in one word: the line address, which is
+  /// line-aligned, with the valid flag in bit 0 and dirty in bit 1 (hence
+  /// line_size >= 4). Only a valid line is ever marked dirty. The all-zero
+  /// word is an invalid line, so the arrays start out as untouched zero
+  /// pages and only the sets a run reaches become resident.
   struct Line {
-    PAddr tag = 0;
-    bool valid = false;
-    bool dirty = false;
+    static constexpr PAddr kValid = 1;
+    static constexpr PAddr kDirty = 2;
+    PAddr word = 0;
+
+    /// Valid and tagged with `line` (dirty or not).
+    [[nodiscard]] bool holds(PAddr line) const { return (word & ~kDirty) == (line | kValid); }
+    [[nodiscard]] bool dirty() const { return (word & kDirty) != 0; }
+    [[nodiscard]] PAddr tag() const { return word & ~(kValid | kDirty); }
+    void fill(PAddr line) { word = line | kValid; }
+    void mark_dirty() { word |= kDirty; }
+    void clean() { word &= ~kDirty; }
+    void invalidate() { word = 0; }
   };
+  static_assert(sizeof(Line) == sizeof(PAddr));
 
   [[nodiscard]] PAddr line_addr(PAddr a) const { return a & ~(params_.line_size - 1); }
-  [[nodiscard]] std::size_t l1_index(PAddr line) const;
-  [[nodiscard]] std::size_t l2_index(PAddr line) const;
+  [[nodiscard]] Line& l1_line(PAddr line) { return l1_[(line >> line_shift_) & l1_mask_]; }
+  [[nodiscard]] Line& l2_line(PAddr line) { return l2_[(line >> line_shift_) & l2_mask_]; }
 
   CacheParams params_;
-  std::vector<Line> l1_;
-  std::vector<Line> l2_;
+  unsigned line_shift_ = 0;  // log2(line_size)
+  std::uint64_t l1_mask_ = 0;  // lines - 1 (both sizes are powers of two)
+  std::uint64_t l2_mask_ = 0;
+  util::ZeroPages tags_;  // both tag arrays, L1's lines first
+  std::span<Line> l1_;
+  std::span<Line> l2_;
   std::uint64_t accesses_ = 0;
   std::uint64_t l1_hits_ = 0;
   std::uint64_t writebacks_ = 0;

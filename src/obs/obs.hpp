@@ -22,12 +22,14 @@
 
 namespace cni::obs {
 
-/// One node's trace ring + metrics registry.
+/// One node's trace ring + metrics registry. The ring has storage only when
+/// tracing is on: the switch is fixed for the node's lifetime, and every
+/// emit path is gated on it.
 class NodeObs {
  public:
   NodeObs(std::uint32_t node, const Options& opts)
-      : ring_(opts.trace_capacity), node_(static_cast<std::uint16_t>(node)),
-        tracing_(opts.trace) {}
+      : ring_(opts.trace ? TraceRing(opts.trace_capacity) : TraceRing()),
+        node_(static_cast<std::uint16_t>(node)), tracing_(opts.trace) {}
 
   [[nodiscard]] bool tracing() const { return tracing_; }
   [[nodiscard]] std::uint32_t node() const { return node_; }

@@ -15,6 +15,7 @@
 
 #include "obs/taxonomy.hpp"
 #include "sim/time.hpp"
+#include "util/check.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace cni::obs {
@@ -53,6 +54,10 @@ class TraceRing {
   /// at quiescence for reads. Public so NodeObs::record can assert it.
   util::Capability owner;
 
+  /// A ring with no storage (capacity 0), for a node whose tracing is off:
+  /// it reads as empty and must never record.
+  TraceRing() = default;
+
   /// Storage is allocated here, once; record() never allocates.
   explicit TraceRing(std::uint32_t capacity) : ring_(capacity == 0 ? 1 : capacity) {}
 
@@ -60,6 +65,7 @@ class TraceRing {
     // Held by protocol: records originate from the node's own simulated
     // events, which execute on its owning shard.
     owner.assert_held();
+    CNI_DCHECK(!ring_.empty());
     ring_[static_cast<std::size_t>(total_ % ring_.size())] = r;
     ++total_;
   }

@@ -41,12 +41,13 @@ thread_local SimThread* t_current = nullptr;
 
 SimThread* SimThread::current() { return t_current; }
 
-SimThread::SimThread(Engine& engine, std::string name, Body body, SimTime start,
-                     std::size_t stack_bytes)
+SimThread::SimThread(Engine& engine, std::string name, Body body, SimTime start)
     : engine_(engine),
       name_(std::move(name)),
       body_(std::move(body)),
-      stack_(stack_bytes != 0 ? stack_bytes : kStackBytes) {
+      // Mapped inside ZeroPages' constructor, so no local of this one lives
+      // across the mmap (set up inline, GCC 12 flags them -Wclobbered).
+      stack_(kStackBytes, util::ZeroPages::Guard::kPage) {
   CNI_CHECK(getcontext(&fiber_) == 0);
   fiber_.uc_stack.ss_sp = stack_.data();
   fiber_.uc_stack.ss_size = stack_.size();

@@ -21,10 +21,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
+#include "util/zero_pages.hpp"
 
 namespace cni::sim {
 
@@ -35,16 +35,15 @@ class SimThread {
   // large app closures for which InlineFn's 48-byte buffer is no win.
   using Body = std::function<void(SimThread&)>;
 
-  /// Default fiber stack size. Application kernels keep big data on the
-  /// heap; half a megabyte leaves ample headroom for library frames.
+  /// Fiber stack size. Application kernels keep big data on the heap; half
+  /// a megabyte leaves ample headroom for library frames. The stack is
+  /// mapped zero-on-demand below a guard page (DESIGN.md §8), so a fiber
+  /// costs host memory only for the stack depth it actually reaches, and an
+  /// overflow faults instead of corrupting the heap.
   static constexpr std::size_t kStackBytes = 512 * 1024;
 
   /// Creates the thread and schedules its first run at `start`.
-  /// `stack_bytes` sizes the fiber stack (0 = kStackBytes) — a host-memory
-  /// knob for wide runs (4096 barrier-only nodes at the default half-MB
-  /// would need 2 GB of stacks); simulated results never depend on it.
-  SimThread(Engine& engine, std::string name, Body body, SimTime start = 0,
-            std::size_t stack_bytes = 0);
+  SimThread(Engine& engine, std::string name, Body body, SimTime start = 0);
 
   /// A finished fiber is simply freed. An unfinished one (abandoned
   /// simulation, e.g. a failing test) is also freed — its stack objects are
@@ -108,7 +107,7 @@ class SimThread {
   bool wake_pending_ = false;  // a wake event is already scheduled
   bool started_ = false;       // first entry must build the stack via ucontext
   std::exception_ptr error_;
-  std::vector<char> stack_;
+  util::ZeroPages stack_;  // kStackBytes above one PROT_NONE guard page
   ucontext_t fiber_{};
   ucontext_t engine_ctx_{};
   // Fast-path switch state: after the ucontext first entry, engine<->fiber

@@ -52,6 +52,19 @@ TEST(CacheModel, DirtyEvictionReachesTheBus) {
   EXPECT_EQ(c.writebacks(), 1u);
 }
 
+TEST(CacheModel, HighDirtyTagEvictsWithoutFlagBits) {
+  // Valid and dirty live in the tag word's low bits; the write-back line
+  // address must come out clean, also for a tag with its high bits set.
+  CacheModel c(small_params());
+  const PAddr high = 0xFFFF'FFFF'FFFF'FC00ull;  // line-aligned, L1/L2 index 0
+  c.access(high + 4, true);
+  const CacheAccess a = c.access(0x0400, false);  // conflicts in both levels
+  EXPECT_TRUE(a.wrote_back);
+  EXPECT_EQ(a.writeback_line, high);
+  EXPECT_EQ(c.writebacks(), 1u);
+  EXPECT_TRUE(c.access(0x0400, false).l1_hit);
+}
+
 TEST(CacheModel, CleanEvictionSilent) {
   CacheModel c(small_params());
   c.access(0x0000, false);  // clean

@@ -103,6 +103,19 @@ TEST(NodeObs, RecordsAllThreeKinds) {
   EXPECT_EQ(rs[3].arg0, 9u);
 }
 
+TEST(NodeObs, RingHasStorageOnlyWhenTracing) {
+  Options off;  // trace defaults to false
+  off.trace_capacity = 4096;
+  const NodeObs quiet(0, off);
+  EXPECT_EQ(quiet.ring().capacity(), 0u);
+  EXPECT_EQ(quiet.ring().size(), 0u);
+
+  Options on = off;
+  on.trace = true;
+  const NodeObs traced(0, on);
+  EXPECT_EQ(traced.ring().capacity(), on.trace_capacity);
+}
+
 TEST(ObsMacros, NullHandlesAndDisabledTracingAreSafeNoOps) {
   // Null handles and a node whose runtime switch is off gate every emit.
   NodeObs* none = nullptr;

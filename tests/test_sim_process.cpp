@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -71,6 +72,53 @@ TEST(SimThread, BodyExceptionPropagatesToRun) {
   Engine e;
   SimThread t(e, "t", [&](SimThread&) { throw std::runtime_error("boom"); });
   EXPECT_THROW(e.run(), std::runtime_error);
+}
+
+// Recurses `depth` levels, each pinning a 1 KB frame. The volatile frame and
+// the use of the callee's result keep the compiler from flattening it.
+[[gnu::noinline]] std::uint64_t burn_stack(std::uint64_t depth) {
+  volatile unsigned char frame[1024];
+  frame[0] = static_cast<unsigned char>(depth);
+  if (depth == 0) return frame[0];
+  return burn_stack(depth - 1) + frame[0];
+}
+
+// Fills 400 KB of locals in one frame, touching every 1 KB of them.
+[[gnu::noinline]] std::uint64_t touch_locals() {
+  constexpr std::size_t kBytes = 400 * 1024;
+  volatile unsigned char locals[kBytes];
+  for (std::size_t i = 0; i < kBytes; i += 1024) locals[i] = 1;
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < kBytes; i += 1024) sum += locals[i];
+  return sum;
+}
+
+TEST(SimThread, StackOverflowDiesOnTheGuardPage) {
+  // Recursing just 16 KB past the bottom of the stack must fault on the
+  // guard page (or, under ASan, be reported as a stack overflow) rather than
+  // write into whatever lies below and return. Empty regex: both match.
+  EXPECT_DEATH(
+      {
+        Engine e;
+        SimThread t(e, "t", [](SimThread&) {
+          volatile std::uint64_t depth = SimThread::kStackBytes / 1024 + 16;
+          (void)burn_stack(depth);
+        });
+        e.run();
+      },
+      "");
+}
+
+TEST(SimThread, MostOfTheStackIsUsable) {
+  Engine e;
+  std::uint64_t sum = 0;
+  SimThread t(e, "t", [&](SimThread& self) {
+    sum = touch_locals();
+    self.delay(1);
+  });
+  e.run();
+  EXPECT_TRUE(t.finished());
+  EXPECT_EQ(sum, 400u);
 }
 
 TEST(SimThread, ManyThreadsDeterministicInterleaving) {

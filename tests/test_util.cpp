@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "util/zero_pages.hpp"
 
 namespace cni::util {
 namespace {
@@ -85,6 +90,59 @@ TEST(Table, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(100.0, 2), "100");
   EXPECT_EQ(format_double(0.054, 4), "0.054");
   EXPECT_EQ(format_double(13.31, 2), "13.31");
+}
+
+/// Resident pages of `m`, per mincore.
+std::size_t resident_pages(const ZeroPages& m) {
+  std::vector<unsigned char> vec(m.size() / ZeroPages::page_size());
+  EXPECT_EQ(mincore(m.data(), m.size(), vec.data()), 0);
+  std::size_t n = 0;
+  for (const unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+TEST(ZeroPages, ReadsZeroAndIsResidentOnlyWhereTouched) {
+  const std::size_t page = ZeroPages::page_size();
+  ZeroPages m(64 * page + 1);  // rounds up to whole pages
+  ASSERT_NE(m.data(), nullptr);
+  EXPECT_EQ(m.size(), 65 * page);
+  EXPECT_EQ(resident_pages(m), 0u);
+  m.data()[3 * page] = std::byte{7};
+  EXPECT_EQ(resident_pages(m), 1u);
+  std::size_t nonzero = 0;
+  for (std::size_t i = 0; i < m.size(); ++i) nonzero += m.data()[i] != std::byte{0} ? 1 : 0;
+  EXPECT_EQ(nonzero, 1u);
+  const std::span<std::uint64_t> words = m.as_span<std::uint64_t>(m.size() / 8);
+  EXPECT_EQ(words[3 * page / 8], 7u);
+}
+
+TEST(ZeroPages, GuardPageSitsBelowTheUsableBytes) {
+  const std::size_t page = ZeroPages::page_size();
+  ZeroPages m(2 * page, ZeroPages::Guard::kPage);
+  EXPECT_EQ(m.size(), 2 * page);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(m.data()) % page, 0u);
+  m.data()[0] = std::byte{1};  // the first usable byte is writable
+  // The page just below it is PROT_NONE: touching it faults.
+  volatile std::byte* below = m.data() - 1;
+  EXPECT_DEATH(*below = std::byte{1}, "");
+}
+
+TEST(ZeroPages, MoveLeavesOneOwner) {
+  ZeroPages a(4096);
+  std::byte* const p = a.data();
+  a.data()[0] = std::byte{5};
+  ZeroPages b(std::move(a));
+  EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(b.data(), p);
+  ZeroPages c;
+  c = std::move(b);
+  EXPECT_EQ(b.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.data(), p);
+  EXPECT_EQ(c.data()[0], std::byte{5});
+  c = ZeroPages();  // releases the mapping
+  EXPECT_EQ(c.data(), nullptr);
+  EXPECT_EQ(c.size(), 0u);
 }
 
 TEST(U64FlatMap, InsertFindEraseBasics) {
